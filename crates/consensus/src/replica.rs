@@ -89,10 +89,11 @@ pub trait SignatureFactory {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
     /// An entry was appended (speculatively — may still roll back).
-    /// The node layer applies its write set to the kv store.
+    /// The node layer reads it with [`Replica::entry_at`] and applies its
+    /// write set to the kv store.
     Appended {
-        /// The appended entry.
-        entry: ReplicatedEntry,
+        /// The appended entry's seqno.
+        seqno: Seqno,
     },
     /// Everything up to `seqno` is durable: will never roll back.
     Committed {
@@ -730,8 +731,9 @@ impl<F: SignatureFactory> Replica<F> {
             self.view_history.push((view, entry.entry.txid.seqno));
         }
         self.note_append_traces(&entry);
-        self.ledger.push(entry.clone());
-        self.events.push(Event::Appended { entry });
+        let seqno = entry.entry.txid.seqno;
+        self.ledger.push(entry);
+        self.events.push(Event::Appended { seqno });
         // A single-node configuration commits its own signatures instantly.
         if self.is_primary() {
             self.try_advance_commit();

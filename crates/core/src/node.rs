@@ -5,9 +5,11 @@
 //! lock-free store snapshots, while a single commit lock serializes
 //! OCC validation → consensus proposal → uniform state application. All
 //! state mutation flows through consensus [`Event`]s — the primary applies
-//! its own entries through exactly the same path backups use, which is
-//! what makes rollback after view changes (and snapshot install) a matter
-//! of restoring an earlier CHAMP snapshot.
+//! its own entries through the same path backups use (with the write set
+//! it executed, so it decrypts nothing), which is what makes rollback
+//! after view changes (and snapshot install) a matter of restoring an
+//! earlier CHAMP snapshot. The replica log is the node's only copy of the
+//! ledger (DESIGN.md §1, "Ledger store and apply path").
 
 use crate::app::{
     split_query, AppError, Application, AuthPolicy, Caller, EndpointContext, Request, Response,
@@ -32,7 +34,7 @@ use ccf_governance::{
 use ccf_kv::store::StoreState;
 use ccf_kv::{builtin, MapName, Store, Transaction, WriteSet};
 use ccf_ledger::entry::EntryKind;
-use ccf_ledger::files::LedgerWriter;
+use ccf_ledger::files::{closed_chunks, encode_chunk, LedgerChunk};
 use ccf_ledger::receipt::endorsement_bytes;
 use ccf_ledger::secrets::LedgerSecrets;
 use ccf_ledger::{LedgerEntry, Receipt, SignaturePayload, TxId};
@@ -182,8 +184,13 @@ struct NodeInner {
     secrets: Option<LedgerSecrets>,
     service_identity: Option<VerifyingKey>,
     service_key: Option<SigningKey>,
-    ledger_writer: LedgerWriter,
-    recent_states: BTreeMap<Seqno, Arc<StoreState>>,
+    /// Every appended entry not yet below the commit point, by seqno:
+    /// the rollback points, and the write sets the indexer is fed at
+    /// commit. Pruned at commit, truncated at rollback.
+    recent_states: BTreeMap<Seqno, Applied>,
+    /// The write set the primary just proposed, handed to the `Appended`
+    /// event of its seqno so the primary applies it without decrypting.
+    proposed: Option<(Seqno, WriteSet)>,
     indexer: Indexer,
     gov: GovernanceEngine,
     rng: ChaChaRng,
@@ -218,6 +225,15 @@ struct NodeInner {
     /// Virtual enqueue time per signed-request ticket (queue-stage
     /// accounting).
     signed_enqueue_times: BTreeMap<u64, u64>,
+}
+
+/// An appended entry as the node retains it until it commits.
+struct Applied {
+    txid: TxId,
+    /// Store state right after the entry (the rollback point).
+    state: Arc<StoreState>,
+    /// The entry's plaintext write set (empty for a snapshot's base).
+    writes: WriteSet,
 }
 
 /// How many seqno → trace-id mappings a node retains (receipt markers
@@ -269,8 +285,8 @@ impl CcfNode {
                 secrets: None,
                 service_identity: None,
                 service_key: None,
-                ledger_writer: LedgerWriter::new(),
                 recent_states: BTreeMap::new(),
+                proposed: None,
                 indexer: Indexer::new(),
                 gov: GovernanceEngine::new(Box::new(DefaultConstitution)),
                 rng,
@@ -331,8 +347,8 @@ impl CcfNode {
                 secrets: None,
                 service_identity: None,
                 service_key: None,
-                ledger_writer: LedgerWriter::new(),
                 recent_states: BTreeMap::new(),
+                proposed: None,
                 indexer: Indexer::new(),
                 gov: GovernanceEngine::new(Box::new(DefaultConstitution)),
                 rng,
@@ -523,12 +539,7 @@ impl CcfNode {
             // Surface conflicts as a retryable error at the caller.
             ProposeError::NotPrimary(None)
         })?;
-        let (_, ws) = {
-            // Decompose without applying.
-            let ws = tx.write_set().clone();
-            (tx, ws)
-        };
-        self.propose_write_set(inner, ws, None, ccf_obs::TraceId::NONE)
+        self.propose_write_set(inner, tx.write_set().clone(), None, ccf_obs::TraceId::NONE)
     }
 
     /// Proposes a prepared write set with optional claims. A non-NONE
@@ -542,10 +553,10 @@ impl CcfNode {
         claims: Option<Vec<u8>>,
         trace: ccf_obs::TraceId,
     ) -> Result<TxId, ProposeError> {
-        let (public_ws, private_ws) = ws.split_visibility();
         // Reconfiguration detection: a transaction that changes the set of
         // trusted nodes is a reconfiguration transaction (§4.4).
-        let new_config = self.config_change(inner, &ws);
+        let new_config = self.config_change(&ws);
+        let (mut public_ws, private_ws) = ws.split_visibility();
         let secrets = inner.secrets.clone();
         let claims_digest = claims.map(|c| sha256(&c)).unwrap_or([0u8; 32]);
         let kind = if new_config.is_some() {
@@ -585,17 +596,17 @@ impl CcfNode {
                 inner.trace_by_seqno.pop_first();
             }
         }
+        // Public and private maps are disjoint, so this is the write set
+        // a backup decodes from the entry.
+        public_ws.merge(private_ws);
+        inner.proposed = Some((txid.seqno, public_ws));
         self.handle_events(inner);
         Ok(txid)
     }
 
     /// If `ws` changes `nodes.info` statuses, returns the resulting
     /// trusted-node set (the new consensus configuration).
-    fn config_change(
-        &self,
-        _inner: &mut NodeInner,
-        ws: &WriteSet,
-    ) -> Option<std::collections::BTreeSet<NodeId>> {
+    fn config_change(&self, ws: &WriteSet) -> Option<std::collections::BTreeSet<NodeId>> {
         let touches_nodes = ws.maps.get(&map(builtin::NODES_INFO)).is_some_and(|w| !w.is_empty());
         if !touches_nodes {
             return None;
@@ -652,9 +663,9 @@ impl CcfNode {
         }
         for event in events {
             match event {
-                Event::Appended { entry } => {
+                Event::Appended { seqno } => {
                     self.metrics.entries_applied.inc();
-                    self.on_appended(inner, entry)
+                    self.on_appended(inner, seqno)
                 }
                 Event::Committed { seqno } => {
                     self.metrics.commit_events.inc();
@@ -672,9 +683,14 @@ impl CcfNode {
                     self.publish_last_applied(snapshot.last_txid);
                     self.store.install(state);
                     inner.recent_states.clear();
-                    inner.recent_states.insert(snapshot.last_txid.seqno, self.store.snapshot());
-                    inner.ledger_writer =
-                        LedgerWriter::starting_from(snapshot.last_txid.seqno + 1);
+                    inner.recent_states.insert(
+                        snapshot.last_txid.seqno,
+                        Applied {
+                            txid: snapshot.last_txid,
+                            state: self.store.snapshot(),
+                            writes: WriteSet::new(),
+                        },
+                    );
                     inner.indexer.reset_to(snapshot.last_txid.seqno);
                     self.reload_dynamic_state(inner);
                 }
@@ -691,20 +707,25 @@ impl CcfNode {
         }
     }
 
-    fn on_appended(&self, inner: &mut NodeInner, entry: ReplicatedEntry) {
-        let seqno = entry.entry.txid.seqno;
-        if seqno <= self.store.version() {
-            // Duplicate delivery (can happen after snapshot install).
-            return;
-        }
-        let ws = self.decode_entry_writes(inner, &entry.entry);
+    /// Applies the entry at `seqno`. Entries reach the store in seqno
+    /// order, each right after its predecessor: a snapshot install or a
+    /// rollback resets the store to the replica's base or cut first.
+    fn on_appended(&self, inner: &mut NodeInner, seqno: Seqno) {
+        let entry = &inner
+            .replica
+            .entry_at(seqno)
+            .expect("appended entry is in the log")
+            .entry;
+        let txid = entry.txid;
+        let ws = match inner.proposed.take() {
+            Some((proposed, ws)) if proposed == seqno => ws,
+            _ => self.decode_entry_writes(inner, entry),
+        };
         self.store.apply_at(&ws, seqno);
-        inner.last_applied = entry.entry.txid;
-        self.publish_last_applied(entry.entry.txid);
-        inner.recent_states.insert(seqno, self.store.snapshot());
-        inner.ledger_writer.append(entry.entry.clone());
+        inner.last_applied = txid;
+        self.publish_last_applied(txid);
         // React to writes addressed to this node (ledger rekey dist).
-        self.check_rekey_distribution(inner, &ws, entry.entry.txid);
+        self.check_rekey_distribution(inner, &ws, txid);
         // Live app / constitution updates take effect on append (they are
         // rolled back with the entry if it never commits, restoring the
         // previous app on the state rollback path).
@@ -713,6 +734,15 @@ impl CcfNode {
         {
             self.reload_dynamic_state(inner);
         }
+        let state = self.store.snapshot();
+        inner.recent_states.insert(
+            seqno,
+            Applied {
+                txid,
+                state,
+                writes: ws,
+            },
+        );
     }
 
     /// Decodes an entry into its full (public + decrypted private) writes.
@@ -750,30 +780,26 @@ impl CcfNode {
                 self.metrics.commit_latency.observe(now.saturating_sub(entered_at));
             }
         }
-        // Feed the indexer, in order, with decrypted committed writes.
-        while inner.indexer.processed_upto() < seqno {
-            let next = inner.indexer.processed_upto() + 1;
-            let Some(entry) = inner.replica.entry_at(next).cloned() else {
-                // Entry below our snapshot base; skip forward.
-                inner.indexer.reset_to(next);
-                continue;
-            };
-            let ws = self.decode_entry_writes(inner, &entry.entry);
-            inner.indexer.feed(entry.entry.txid, &ws);
+        // Feed the indexer, in order, with the write sets kept since append.
+        let from = inner.indexer.processed_upto() + 1;
+        for (_, applied) in inner
+            .recent_states
+            .range(from..)
+            .take_while(|(s, _)| **s <= seqno)
+        {
+            inner.indexer.feed(applied.txid, &applied.writes);
         }
         // Prune rollback snapshots: only seqnos >= commit can roll back.
-        let keep: BTreeMap<Seqno, Arc<StoreState>> =
-            inner.recent_states.split_off(&seqno);
-        inner.recent_states = keep;
+        inner.recent_states = inner.recent_states.split_off(&seqno);
         // Snapshot production (§4.4).
         inner.commits_since_snapshot += 1;
         if self.opts.snapshot_interval > 0
             && inner.commits_since_snapshot >= self.opts.snapshot_interval
         {
             inner.commits_since_snapshot = 0;
-            if let Some(state) = inner.recent_states.get(&seqno).cloned() {
+            if let Some(applied) = inner.recent_states.get(&seqno) {
                 if let Some(snapshot) =
-                    inner.replica.snapshot_descriptor(state.serialize())
+                    inner.replica.snapshot_descriptor(applied.state.serialize())
                 {
                     inner.replica.set_latest_snapshot(snapshot);
                 }
@@ -914,7 +940,7 @@ impl CcfNode {
         let state = inner
             .recent_states
             .get(&seqno)
-            .cloned()
+            .map(|applied| applied.state.clone())
             .unwrap_or_else(|| {
                 // Rolling back to the commit point with no retained
                 // snapshot should be impossible; fall back to replay-free
@@ -927,7 +953,6 @@ impl CcfNode {
             });
         self.store.install((*state).clone());
         inner.recent_states.retain(|s, _| *s <= seqno);
-        inner.ledger_writer.truncate(seqno);
         inner.last_applied = inner.replica.last_txid();
         self.publish_last_applied(inner.last_applied);
         self.reload_dynamic_state(inner);
@@ -1028,14 +1053,24 @@ impl CcfNode {
     pub fn latest_snapshot(&self) -> Option<Snapshot> {
         let inner = self.inner.lock();
         let commit = inner.replica.commit_seqno();
-        let state = inner.recent_states.get(&commit).cloned()?;
-        inner.replica.snapshot_descriptor(state.serialize())
+        let state = inner.recent_states.get(&commit)?.state.serialize();
+        inner.replica.snapshot_descriptor(state)
     }
 
     /// Persisted ledger chunk blobs (what the host's disk holds — the
     /// input to disaster recovery).
     pub fn persisted_ledger(&self) -> Vec<Vec<u8>> {
-        self.inner.lock().ledger_writer.persisted_blobs()
+        Self::chunk_blobs(&self.inner.lock(), 1, Seqno::MAX)
+    }
+
+    /// The host's chunk files that hold any of the entries `from..=to`:
+    /// the closed chunks of the replica log, each ending at a signature.
+    fn chunk_blobs(inner: &NodeInner, from: Seqno, to: Seqno) -> Vec<Vec<u8>> {
+        closed_chunks(inner.replica.entries_from(0).iter().map(|e| &e.entry))
+            .into_iter()
+            .filter(|chunk| chunk[0].txid.seqno <= to && chunk[chunk.len() - 1].txid.seqno >= from)
+            .map(|chunk| encode_chunk(&chunk))
+            .collect()
     }
 
     /// Permanently stops the node (operator shutdown after retirement).
@@ -1446,7 +1481,7 @@ impl CcfNode {
         if inner.replica.tx_status(txid) != TxStatus::Committed {
             return None;
         }
-        let entry = inner.replica.entry_at(txid.seqno)?.entry.clone();
+        let entry = &inner.replica.entry_at(txid.seqno)?.entry;
         // Find the first signature transaction after txid (its root covers
         // entries [1, sig.seqno - 1] ⊇ txid).
         let mut sig: Option<(TxId, SignaturePayload)> = None;
@@ -1511,19 +1546,12 @@ impl CcfNode {
         if to > inner.replica.commit_seqno() {
             return Err("range exceeds committed prefix".to_string());
         }
-        // Fetch from (untrusted) host storage…
+        // Fetch from (untrusted) host storage. Commit rests on a signature,
+        // so the whole range is in closed chunks.
         let mut by_seqno: BTreeMap<Seqno, LedgerEntry> = BTreeMap::new();
-        for chunk in inner.ledger_writer.chunks() {
-            for e in &chunk.entries {
-                if e.txid.seqno >= from && e.txid.seqno <= to {
-                    by_seqno.insert(e.txid.seqno, e.clone());
-                }
-            }
-        }
-        for e in inner.ledger_writer.open_entries() {
-            if e.txid.seqno >= from && e.txid.seqno <= to {
-                by_seqno.insert(e.txid.seqno, e.clone());
-            }
+        for blob in Self::chunk_blobs(&inner, from, to) {
+            let chunk = LedgerChunk::decode(&blob).map_err(|e| format!("host storage: {e}"))?;
+            by_seqno.extend(chunk.entries.into_iter().map(|e| (e.txid.seqno, e)));
         }
         let mut out = Vec::new();
         for s in from..=to {

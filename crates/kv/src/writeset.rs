@@ -42,15 +42,15 @@ impl WriteSet {
     }
 
     /// Splits into (public, private) write sets by map visibility.
-    pub fn split_visibility(&self) -> (WriteSet, WriteSet) {
+    pub fn split_visibility(self) -> (WriteSet, WriteSet) {
         let mut public = WriteSet::new();
         let mut private = WriteSet::new();
-        for (name, writes) in &self.maps {
+        for (name, writes) in self.maps {
             if writes.is_empty() {
                 continue;
             }
             let target = if name.is_public() { &mut public } else { &mut private };
-            target.maps.insert(name.clone(), writes.clone());
+            target.maps.insert(name, writes);
         }
         (public, private)
     }

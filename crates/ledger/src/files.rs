@@ -1,20 +1,21 @@
 //! Physical ledger files (paper §3.2).
 //!
-//! The logical ledger is divided into chunks, each terminating with a
-//! signature transaction, as it is written to persistent storage *by the
-//! host* — i.e. outside the trust boundary. A malicious host can drop,
-//! truncate or corrupt chunks; everything read back is therefore treated
-//! as untrusted input and re-verified (entry decoding, signature chain)
-//! during disaster recovery.
+//! A node keeps one copy of its ledger: the consensus replica's log. The
+//! files the host writes are a view over that log, cut into chunks that
+//! each end with a signature transaction ([`closed_chunks`]). Entries
+//! after the last signature form the open chunk, which is not persisted.
+//! The host stores the files outside the trust boundary, so it can drop,
+//! truncate or corrupt them. Everything read back is untrusted input and
+//! is re-verified during disaster recovery (entry decoding, signature
+//! chain).
 
-use crate::entry::{LedgerEntry, TxId};
+use crate::entry::LedgerEntry;
 use ccf_kv::codec::{CodecError, Reader, Writer};
 
 const CHUNK_MAGIC: u32 = 0xCCF1_ED6E;
 
-/// One physical ledger file: a header plus consecutive entries, the last
-/// of which is a signature transaction (except possibly the final,
-/// still-open chunk at crash time).
+/// One physical ledger file, decoded: consecutive entries. A file the
+/// node wrote ends with a signature transaction ([`Self::is_complete`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LedgerChunk {
     /// Sequence number of the first entry.
@@ -24,18 +25,6 @@ pub struct LedgerChunk {
 }
 
 impl LedgerChunk {
-    /// Serializes the chunk as stored on disk.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u32(CHUNK_MAGIC);
-        w.u64(self.first_seqno);
-        w.u32(self.entries.len() as u32);
-        for e in &self.entries {
-            w.bytes(&e.encode());
-        }
-        w.finish()
-    }
-
     /// Decodes and structurally validates a chunk read from (untrusted)
     /// storage.
     pub fn decode(bytes: &[u8]) -> Result<LedgerChunk, CodecError> {
@@ -59,104 +48,40 @@ impl LedgerChunk {
         Ok(LedgerChunk { first_seqno, entries })
     }
 
-    /// Last transaction ID in this chunk.
-    pub fn last_txid(&self) -> Option<TxId> {
-        self.entries.last().map(|e| e.txid)
-    }
-
     /// True when the chunk is closed by a signature transaction.
     pub fn is_complete(&self) -> bool {
         self.entries.last().is_some_and(|e| e.is_signature())
     }
 }
 
-/// The host-side ledger writer: accumulates entries, closing a chunk at
-/// every signature transaction. In production these chunks are files named
-/// `ledger_<first>-<last>.committed`; here they are byte blobs handed to a
-/// storage backend (in-memory or a directory).
-#[derive(Default)]
-pub struct LedgerWriter {
-    open: Vec<LedgerEntry>,
-    open_first_seqno: u64,
-    chunks: Vec<LedgerChunk>,
+/// Cuts a ledger (consecutive entries) into its closed chunks: each runs
+/// up to and including a signature transaction. The unsigned suffix is
+/// the open chunk and is left out, as it is lost on a crash.
+pub fn closed_chunks<'a>(
+    log: impl IntoIterator<Item = &'a LedgerEntry>,
+) -> Vec<Vec<&'a LedgerEntry>> {
+    let mut chunks = Vec::new();
+    let mut open = Vec::new();
+    for entry in log {
+        open.push(entry);
+        if entry.is_signature() {
+            chunks.push(std::mem::take(&mut open));
+        }
+    }
+    chunks
 }
 
-impl LedgerWriter {
-    /// An empty writer expecting seqno 1 first.
-    pub fn new() -> LedgerWriter {
-        LedgerWriter { open: Vec::new(), open_first_seqno: 1, chunks: Vec::new() }
+/// Serializes a chunk (consecutive entries, at least one) as stored on
+/// disk; [`LedgerChunk::decode`] reads it back.
+pub fn encode_chunk(entries: &[&LedgerEntry]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u32(CHUNK_MAGIC);
+    w.u64(entries.first().map_or(0, |e| e.txid.seqno));
+    w.u32(entries.len() as u32);
+    for e in entries {
+        w.bytes(&e.encode());
     }
-
-    /// An empty writer starting at `first_seqno` (node bootstrapped from a
-    /// snapshot: earlier entries exist only on other nodes' storage).
-    pub fn starting_from(first_seqno: u64) -> LedgerWriter {
-        LedgerWriter { open: Vec::new(), open_first_seqno: first_seqno, chunks: Vec::new() }
-    }
-
-    /// Appends an entry; closes the open chunk if it is a signature tx.
-    pub fn append(&mut self, entry: LedgerEntry) {
-        let is_sig = entry.is_signature();
-        if self.open.is_empty() {
-            self.open_first_seqno = entry.txid.seqno;
-        }
-        self.open.push(entry);
-        if is_sig {
-            self.chunks.push(LedgerChunk {
-                first_seqno: self.open_first_seqno,
-                entries: std::mem::take(&mut self.open),
-            });
-        }
-    }
-
-    /// Removes every entry with seqno > `seqno` (consensus rollback). Whole
-    /// chunks are dropped and the open chunk truncated as needed.
-    pub fn truncate(&mut self, seqno: u64) {
-        self.open.retain(|e| e.txid.seqno <= seqno);
-        while let Some(last) = self.chunks.last() {
-            if last.first_seqno > seqno {
-                self.chunks.pop();
-            } else {
-                break;
-            }
-        }
-        if let Some(last) = self.chunks.last() {
-            if last.last_txid().map_or(0, |t| t.seqno) > seqno {
-                // Re-open the last chunk and truncate within it.
-                let mut chunk = self.chunks.pop().unwrap();
-                chunk.entries.retain(|e| e.txid.seqno <= seqno);
-                self.open_first_seqno = chunk.first_seqno;
-                let mut reopened = chunk.entries;
-                reopened.append(&mut self.open);
-                self.open = reopened;
-            }
-        }
-    }
-
-    /// All closed chunks.
-    pub fn chunks(&self) -> &[LedgerChunk] {
-        &self.chunks
-    }
-
-    /// Entries of the still-open (unsigned) suffix.
-    pub fn open_entries(&self) -> &[LedgerEntry] {
-        &self.open
-    }
-
-    /// Every entry currently held, in order (closed chunks + open suffix).
-    pub fn all_entries(&self) -> Vec<&LedgerEntry> {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.entries.iter())
-            .chain(self.open.iter())
-            .collect()
-    }
-
-    /// Serializes all *closed* chunks — what survives on persistent
-    /// storage for disaster recovery (the open suffix is lost on crash,
-    /// exactly as in the paper's model).
-    pub fn persisted_blobs(&self) -> Vec<Vec<u8>> {
-        self.chunks.iter().map(|c| c.encode()).collect()
-    }
+    w.finish()
 }
 
 /// Reads a set of persisted chunk blobs back into an ordered entry stream,
@@ -184,7 +109,7 @@ pub fn read_chunks(blobs: &[Vec<u8>]) -> Result<Vec<LedgerEntry>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::EntryKind;
+    use crate::entry::{EntryKind, TxId};
 
     fn entry(view: u64, seqno: u64, kind: EntryKind) -> LedgerEntry {
         LedgerEntry {
@@ -196,36 +121,46 @@ mod tests {
         }
     }
 
-    fn fill(writer: &mut LedgerWriter, upto: u64, sig_every: u64) {
-        for s in 1..=upto {
-            let kind = if s % sig_every == 0 { EntryKind::Signature } else { EntryKind::User };
-            writer.append(entry(1, s, kind));
-        }
+    /// A log of `upto` entries with a signature every `sig_every`.
+    fn log(upto: u64, sig_every: u64) -> Vec<LedgerEntry> {
+        (1..=upto)
+            .map(|s| {
+                let kind = if s % sig_every == 0 { EntryKind::Signature } else { EntryKind::User };
+                entry(1, s, kind)
+            })
+            .collect()
+    }
+
+    fn blobs(log: &[LedgerEntry]) -> Vec<Vec<u8>> {
+        closed_chunks(log).iter().map(|c| encode_chunk(c)).collect()
+    }
+
+    fn first_seqnos(log: &[LedgerEntry]) -> Vec<u64> {
+        closed_chunks(log).iter().map(|c| c[0].txid.seqno).collect()
     }
 
     #[test]
     fn chunks_close_at_signatures() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 10, 5);
-        assert_eq!(w.chunks().len(), 2);
-        assert_eq!(w.open_entries().len(), 0);
-        assert!(w.chunks().iter().all(|c| c.is_complete()));
-        assert_eq!(w.chunks()[0].first_seqno, 1);
-        assert_eq!(w.chunks()[1].first_seqno, 6);
+        let l = log(10, 5);
+        let chunks = closed_chunks(&l);
+        assert_eq!(chunks.iter().map(Vec::len).collect::<Vec<_>>(), [5, 5]);
+        assert!(chunks.iter().all(|c| c.last().unwrap().is_signature()));
+        assert_eq!(first_seqnos(&l), [1, 6]);
 
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 12, 5);
-        assert_eq!(w.chunks().len(), 2);
-        assert_eq!(w.open_entries().len(), 2); // 11, 12 unsigned
+        // 11 and 12 are unsigned: the open chunk is not persisted.
+        let l = log(12, 5);
+        assert_eq!(closed_chunks(&l).len(), 2);
+        let persisted: usize = closed_chunks(&l).iter().map(Vec::len).sum();
+        assert_eq!(persisted, 10);
     }
 
     #[test]
     fn chunk_encode_decode() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 5, 5);
-        let blob = w.chunks()[0].encode();
+        let l = log(5, 5);
+        let blob = encode_chunk(&closed_chunks(&l)[0]);
         let decoded = LedgerChunk::decode(&blob).unwrap();
-        assert_eq!(decoded, w.chunks()[0]);
+        assert_eq!(decoded, LedgerChunk { first_seqno: 1, entries: l });
+        assert!(decoded.is_complete());
         // Corruption rejected.
         let mut bad = blob.clone();
         bad[0] ^= 1;
@@ -238,68 +173,65 @@ mod tests {
 
     #[test]
     fn read_chunks_reassembles_in_order() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 20, 4);
-        let mut blobs = w.persisted_blobs();
+        let l = log(20, 4);
+        let mut blobs = blobs(&l);
         blobs.reverse(); // order on disk is arbitrary
         let entries = read_chunks(&blobs).unwrap();
-        assert_eq!(entries.len(), 20);
-        for (i, e) in entries.iter().enumerate() {
-            assert_eq!(e.txid.seqno, i as u64 + 1);
-        }
+        assert_eq!(entries, l);
     }
 
     #[test]
     fn read_chunks_rejects_gaps() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 20, 4);
-        let mut blobs = w.persisted_blobs();
+        let mut blobs = blobs(&log(20, 4));
         blobs.remove(1); // lose chunk 5..8
         assert!(read_chunks(&blobs).is_err());
     }
 
     #[test]
     fn read_chunks_tolerates_missing_tail() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 20, 4);
-        let mut blobs = w.persisted_blobs();
+        let mut blobs = blobs(&log(20, 4));
         blobs.pop(); // final chunk lost — best-effort recovery still works
         let entries = read_chunks(&blobs).unwrap();
         assert_eq!(entries.len(), 16);
     }
 
+    // Rollback truncates the log itself; the chunks follow because they
+    // are cut from it afresh.
+
     #[test]
     fn truncate_within_open_suffix() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 12, 5); // chunks [1-5],[6-10], open [11,12]
-        w.truncate(11);
-        assert_eq!(w.open_entries().len(), 1);
-        assert_eq!(w.chunks().len(), 2);
+        let mut l = log(12, 5); // chunks [1-5],[6-10], open [11,12]
+        l.truncate(11);
+        assert_eq!(first_seqnos(&l), [1, 6]);
+        assert_eq!(blobs(&l), blobs(&log(10, 5)));
     }
 
     #[test]
     fn truncate_into_closed_chunk_reopens_it() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 12, 5);
-        w.truncate(8);
-        assert_eq!(w.chunks().len(), 1);
-        assert_eq!(w.open_entries().len(), 3); // 6, 7, 8
-        assert_eq!(w.all_entries().len(), 8);
+        let mut l = log(12, 5);
+        l.truncate(8);
+        assert_eq!(first_seqnos(&l), [1]); // 6, 7, 8 are open again
         // Appending a new signature closes the reopened chunk again.
-        w.append(entry(2, 9, EntryKind::Signature));
-        assert_eq!(w.chunks().len(), 2);
-        assert_eq!(w.chunks()[1].first_seqno, 6);
-        assert!(w.chunks()[1].is_complete());
+        l.push(entry(2, 9, EntryKind::Signature));
+        assert_eq!(first_seqnos(&l), [1, 6]);
+        let reopened = LedgerChunk::decode(&blobs(&l)[1]).unwrap();
+        assert_eq!(reopened.entries.len(), 4);
+        assert!(reopened.is_complete());
     }
 
     #[test]
     fn truncate_everything() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 12, 5);
-        w.truncate(0);
-        assert!(w.chunks().is_empty());
-        assert!(w.open_entries().is_empty());
-        fill(&mut w, 5, 5);
-        assert_eq!(w.chunks().len(), 1);
+        let mut l = log(12, 5);
+        l.clear();
+        assert!(closed_chunks(&l).is_empty());
+        l = log(5, 5);
+        assert_eq!(first_seqnos(&l), [1]);
+    }
+
+    #[test]
+    fn log_from_a_snapshot_starts_its_first_chunk_after_the_base() {
+        let l: Vec<LedgerEntry> = log(12, 4).split_off(6); // base 6: 7..12
+        assert_eq!(first_seqnos(&l), [7, 9]);
+        assert_eq!(LedgerChunk::decode(&blobs(&l)[0]).unwrap().first_seqno, 7);
     }
 }

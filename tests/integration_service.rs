@@ -105,7 +105,7 @@ fn session_terminates_on_primary_change() {
     let old_primary = service.primary().unwrap();
     service.crash(&old_primary);
     assert!(service.run_until(30_000, |c| {
-        c.primary().map_or(false, |p| p != old_primary)
+        c.primary().is_some_and(|p| p != old_primary)
     }));
     // The pinned session must terminate, not silently switch (§4.3).
     let resp = service.session_request(session, "GET", "/log?id=1", b"");
@@ -123,7 +123,7 @@ fn primary_crash_preserves_committed_writes() {
     service.run_until_committed(txid);
     let primary = service.primary().unwrap();
     service.crash(&primary);
-    assert!(service.run_until(30_000, |c| c.primary().map_or(false, |p| p != primary)));
+    assert!(service.run_until(30_000, |c| c.primary().is_some_and(|p| p != primary)));
     for id in service.live_nodes() {
         assert_eq!(service.nodes[id].tx_status(txid), TxStatus::Committed);
     }
