@@ -1,5 +1,7 @@
-//! The consensus-level chaos driver: applies a seeded [`FaultSchedule`]
-//! to a [`Cluster`] while checking safety invariants after every step.
+//! The chaos run loop, and its consensus-level target: [`run_chaos`]
+//! applies a seeded [`FaultSchedule`] to any [`ChaosTarget`] while
+//! checking safety invariants after every step; [`Cluster`] is the
+//! consensus-level target, `ccf-core`'s service cluster the other.
 //!
 //! Everything — cluster timeouts, network latency, the fault schedule —
 //! derives from the one seed, so `run_consensus_chaos(seed, …)` is a pure
@@ -62,11 +64,42 @@ pub fn chaos_net_config() -> NetConfig {
     NetConfig { latency: (1, 10), drop_probability: 0.0 }
 }
 
-/// Runs a 5-node cluster under `schedule` for `horizon` virtual ms,
-/// checking invariants after every step. Deterministic in `(seed,
-/// schedule, horizon)`.
-pub fn run_consensus_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -> ChaosReport {
-    let mut cluster = Cluster::new(5, chaos_replica_config(), chaos_net_config(), seed);
+/// Nodes a consensus chaos run starts with. Nodes never leave the
+/// cluster's map, so the number added so far is `replicas.len()` minus
+/// this.
+const CHAOS_NODES: usize = 5;
+
+/// A cluster a chaos run can drive: everything [`run_chaos`] needs beyond
+/// the simulator itself, which each target reaches through its own
+/// [`ccf_sim::SimNet`].
+pub trait ChaosTarget {
+    /// Current virtual time (ms).
+    fn now(&self) -> Time;
+    /// Advances the target by one simulation step.
+    fn step(&mut self);
+    /// Feeds the target's new state and events to `checker`.
+    fn check(&mut self, checker: &mut InvariantChecker);
+    /// Applies one fault event. `report.faults_applied` already counts it;
+    /// the op may add proposals or violations.
+    fn apply(&mut self, op: &NemesisOp, report: &mut ChaosReport);
+    /// End-of-run bookkeeping: sets `report.max_commit` and runs any
+    /// target-specific final checks.
+    fn finish(&mut self, report: &mut ChaosReport);
+    /// The registry shared by every node and the network.
+    fn obs(&self) -> &ccf_obs::Registry;
+}
+
+/// Drives `target` under `schedule` for `horizon` virtual ms past its
+/// current time, checking invariants after every step; on the first
+/// violation it stops and bundles forensics. Event times in `schedule`
+/// are offsets from the target's start time. Deterministic in the
+/// target's seed, `schedule` and `horizon`.
+pub fn run_chaos(
+    target: &mut impl ChaosTarget,
+    seed: u64,
+    schedule: &FaultSchedule,
+    horizon: Time,
+) -> ChaosReport {
     let mut checker = InvariantChecker::new();
     let mut report = ChaosReport {
         seed,
@@ -78,137 +111,116 @@ pub fn run_consensus_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -
         metrics: ccf_obs::Snapshot::default(),
         forensics: None,
     };
-    let mut next_event = 0;
-    let mut added_nodes: u64 = 0;
-
-    while cluster.now() < horizon {
-        while next_event < schedule.events.len() && schedule.events[next_event].at <= cluster.now()
-        {
-            let op = schedule.events[next_event].op.clone();
-            next_event += 1;
-            apply_op(&mut cluster, &op, &mut report, &mut added_nodes);
+    let start = target.now();
+    let mut events = schedule.events.iter().peekable();
+    while target.now() - start < horizon {
+        let offset = target.now() - start;
+        while let Some(event) = events.next_if(|e| e.at <= offset) {
+            report.faults_applied += 1;
+            target.apply(&event.op, &mut report);
         }
-        cluster.step();
+        target.step();
         report.steps += 1;
-        checker.check_cluster(&cluster);
+        target.check(&mut checker);
         if !checker.ok() {
-            report.violations = checker.violations().to_vec();
-            report.forensics = Some(forensics(cluster.obs(), 64, 4));
+            report.forensics = Some(forensics(target.obs(), 64, 4));
             break;
         }
     }
-    report.max_commit = cluster
-        .replicas
-        .values()
-        .map(|r| r.commit_seqno())
-        .max()
-        .unwrap_or(0);
-    if report.violations.is_empty() {
-        report.violations = checker.violations().to_vec();
+    target.finish(&mut report);
+    report.violations.extend(checker.violations().iter().cloned());
+    if !report.violations.is_empty() && report.forensics.is_none() {
+        // Violations `apply` or `finish` found surface outside the loop.
+        report.forensics = Some(forensics(target.obs(), 64, 4));
     }
-    report.metrics = cluster.obs().snapshot();
+    report.metrics = target.obs().snapshot();
     report
 }
 
-fn apply_op(cluster: &mut Cluster, op: &NemesisOp, report: &mut ChaosReport, added: &mut u64) {
-    report.faults_applied += 1;
-    match op {
-        NemesisOp::KillPrimary => {
-            if let Some(p) = cluster.primary() {
-                if cluster.live_ids().len() > 1 {
-                    cluster.crash(&p);
-                }
-            }
+/// Runs a 5-node cluster under `schedule` for `horizon` virtual ms,
+/// checking invariants after every step. Deterministic in `(seed,
+/// schedule, horizon)`.
+pub fn run_consensus_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -> ChaosReport {
+    let mut cluster = Cluster::new(CHAOS_NODES, chaos_replica_config(), chaos_net_config(), seed);
+    run_chaos(&mut cluster, seed, schedule, horizon)
+}
+
+impl ChaosTarget for Cluster {
+    fn now(&self) -> Time {
+        Cluster::now(self)
+    }
+
+    fn step(&mut self) {
+        Cluster::step(self)
+    }
+
+    fn check(&mut self, checker: &mut InvariantChecker) {
+        checker.check_cluster(self);
+    }
+
+    fn apply(&mut self, op: &NemesisOp, report: &mut ChaosReport) {
+        let ids: Vec<NodeId> = self.replicas.keys().cloned().collect();
+        let (live, primary) = (self.live_ids(), self.primary());
+        if op.apply_to_net(&mut self.net, &ids, &live, primary.as_ref()) {
+            return;
         }
-        NemesisOp::KillNode(slot) => {
-            let live = cluster.live_ids();
-            if live.len() > 1 {
-                let victim = live[slot % live.len()].clone();
-                cluster.crash(&victim);
-            }
-        }
-        NemesisOp::RestartNode(slot) => {
-            let down: Vec<NodeId> = cluster
-                .replicas
-                .keys()
-                .filter(|id| cluster.is_crashed(id))
-                .cloned()
-                .collect();
-            if !down.is_empty() {
-                let back = down[slot % down.len()].clone();
-                cluster.restart(&back);
-            }
-        }
-        NemesisOp::Partition { left } => {
-            let ids: Vec<NodeId> = cluster.replicas.keys().cloned().collect();
-            let cut = (*left).clamp(1, ids.len().saturating_sub(1));
-            if cut < ids.len() {
-                let a = ids[..cut].iter().cloned().collect();
-                let b = ids[cut..].iter().cloned().collect();
-                cluster.net.partition(vec![a, b]);
-            }
-        }
-        NemesisOp::OneWayBlock { from, to } => {
-            let ids: Vec<NodeId> = cluster.replicas.keys().cloned().collect();
-            let f = &ids[from % ids.len()];
-            let t = &ids[to % ids.len()];
-            if f != t {
-                cluster.net.block_link(f, t);
-            }
-        }
-        NemesisOp::Heal => cluster.net.heal(),
-        NemesisOp::SetDuplication(p) => {
-            cluster.net.set_duplicate_probability(f64::from(*p) / 100.0)
-        }
-        NemesisOp::SetDrop(p) => cluster.net.set_drop_probability(f64::from(*p) / 100.0),
-        NemesisOp::SetLatency { lo, hi } => cluster.net.set_latency(*lo, *hi),
-        NemesisOp::ClientBurst(k) => {
-            for i in 0..*k {
-                let payload = format!("chaos-{}-{}", report.faults_applied, i);
-                if cluster.propose(payload.as_bytes()).is_ok() {
-                    report.proposals += 1;
-                }
-            }
-        }
-        NemesisOp::AddNode => {
-            // Cap growth; every other join bootstraps from a snapshot of
-            // the current primary (snapshot-join under churn).
-            if cluster.replicas.len() >= 9 {
-                return;
-            }
-            let id = format!("c{added}");
-            *added += 1;
-            let snapshot = if (*added).is_multiple_of(2) {
-                cluster.primary().and_then(|p| {
-                    let primary = &cluster.replicas[&p];
-                    let snap = primary.snapshot_descriptor(Vec::new());
-                    if let Some(s) = snap.clone() {
-                        cluster.replicas.get_mut(&p).unwrap().set_latest_snapshot(s);
+        match op {
+            NemesisOp::ClientBurst(k) => {
+                for i in 0..*k {
+                    let payload = format!("chaos-{}-{}", report.faults_applied, i);
+                    if self.propose(payload.as_bytes()).is_ok() {
+                        report.proposals += 1;
                     }
-                    snap
-                })
-            } else {
-                None
-            };
-            cluster.add_node(id.clone(), chaos_replica_config(), snapshot);
-            if let Some(p) = cluster.primary() {
-                let mut config: Config = cluster.replicas[&p].config_union();
-                config.insert(id);
-                let _ = cluster.propose_reconfig(&config);
-            }
-        }
-        NemesisOp::RemoveNode(slot) => {
-            if let Some(p) = cluster.primary() {
-                let config: Config = cluster.replicas[&p].config_union();
-                if config.len() > 2 {
-                    let ids: Vec<NodeId> = config.iter().cloned().collect();
-                    let victim = ids[slot % ids.len()].clone();
-                    let remaining: Config =
-                        config.into_iter().filter(|n| n != &victim).collect();
-                    let _ = cluster.propose_reconfig(&remaining);
                 }
             }
+            NemesisOp::AddNode => {
+                // Cap growth; every other join bootstraps from a snapshot
+                // of the current primary (snapshot-join under churn).
+                if self.replicas.len() >= 9 {
+                    return;
+                }
+                let added = self.replicas.len() - CHAOS_NODES;
+                let id = format!("c{added}");
+                let snapshot = if (added + 1).is_multiple_of(2) {
+                    self.primary().and_then(|p| {
+                        let snap = self.replicas[&p].snapshot_descriptor(Vec::new());
+                        if let Some(s) = snap.clone() {
+                            self.replicas.get_mut(&p).unwrap().set_latest_snapshot(s);
+                        }
+                        snap
+                    })
+                } else {
+                    None
+                };
+                self.add_node(id.clone(), chaos_replica_config(), snapshot);
+                if let Some(p) = self.primary() {
+                    let mut config: Config = self.replicas[&p].config_union();
+                    config.insert(id);
+                    let _ = self.propose_reconfig(&config);
+                }
+            }
+            NemesisOp::RemoveNode(slot) => {
+                if let Some(p) = self.primary() {
+                    let config: Config = self.replicas[&p].config_union();
+                    if config.len() > 2 {
+                        let ids: Vec<NodeId> = config.iter().cloned().collect();
+                        let victim = ids[slot % ids.len()].clone();
+                        let remaining: Config =
+                            config.into_iter().filter(|n| n != &victim).collect();
+                        let _ = self.propose_reconfig(&remaining);
+                    }
+                }
+            }
+            _ => unreachable!("apply_to_net applies every other op"),
         }
+    }
+
+    fn finish(&mut self, report: &mut ChaosReport) {
+        report.max_commit = self.replicas.values().map(|r| r.commit_seqno()).max().unwrap_or(0);
+    }
+
+    fn obs(&self) -> &ccf_obs::Registry {
+        Cluster::obs(self)
     }
 }
 

@@ -7,6 +7,7 @@
 //! violations. All randomness — timeouts, latency, drops — derives from
 //! one seed, so failures replay exactly.
 
+use crate::invariants::InvariantChecker;
 use crate::message::{Message, ReplicatedEntry};
 use crate::replica::{Event, ProposeError, Replica, ReplicaConfig, SignatureFactory};
 use crate::{Config, NodeId, Seqno, View};
@@ -14,8 +15,8 @@ use ccf_crypto::Digest32;
 use ccf_kv::{builtin, MapName, WriteSet};
 use ccf_ledger::entry::EntryKind;
 use ccf_ledger::{LedgerEntry, SignaturePayload, TxId};
-use ccf_sim::{NetConfig, SimNet};
-use std::collections::{BTreeMap, HashSet};
+use ccf_sim::{Input, NetConfig, SimNet};
+use std::collections::BTreeMap;
 
 /// A [`SignatureFactory`] backed by a real Ed25519 node key, producing
 /// signature entries whose payload lands in the
@@ -115,9 +116,6 @@ pub struct Cluster {
     pub net: SimNet<Message>,
     /// Events drained from each replica, in emission order.
     pub events: BTreeMap<NodeId, Vec<Event>>,
-    crashed: HashSet<NodeId>,
-    now: u64,
-    tick_ms: u64,
     seed: u64,
     next_node_seed: u64,
     obs: ccf_obs::Registry,
@@ -148,9 +146,6 @@ impl Cluster {
             replicas,
             net,
             events: BTreeMap::new(),
-            crashed: HashSet::new(),
-            now: 0,
-            tick_ms: 1,
             seed,
             next_node_seed: n as u64,
             obs,
@@ -159,7 +154,7 @@ impl Cluster {
 
     /// Current virtual time (ms).
     pub fn now(&self) -> u64 {
-        self.now
+        self.net.now()
     }
 
     /// The observability registry shared by every replica and the
@@ -190,44 +185,42 @@ impl Cluster {
             snapshot,
         );
         replica.set_registry(&self.obs);
-        replica.tick(self.now);
+        replica.tick(self.now());
         self.replicas.insert(id.clone(), replica);
         id
     }
 
-    /// Advances the simulation by one tick: deliver due messages, tick
-    /// replicas, flush outboxes.
+    /// Advances the simulation by one 1 ms [`SimNet::step`]: deliver due
+    /// messages, tick replicas and flush their outboxes, then collect each
+    /// live replica's events.
     pub fn step(&mut self) {
-        self.now += self.tick_ms;
-        self.obs.set_now(self.now);
-        for d in self.net.deliveries_until(self.now) {
-            if self.crashed.contains(&d.to) {
-                continue;
-            }
-            if let Some(replica) = self.replicas.get_mut(&d.to) {
-                replica.receive(&d.from, d.msg);
-            }
-        }
         let ids: Vec<NodeId> = self.replicas.keys().cloned().collect();
-        for id in ids {
-            if self.crashed.contains(&id) {
-                continue;
+        let replicas = &mut self.replicas;
+        self.net.step(&ids, |id, input| {
+            let Some(replica) = replicas.get_mut(id) else { return Vec::new() };
+            match input {
+                Input::Message(from, msg) => {
+                    replica.receive(&from, msg);
+                    Vec::new()
+                }
+                Input::Tick(now) => {
+                    replica.tick(now);
+                    replica.drain_outbox()
+                }
             }
-            let replica = self.replicas.get_mut(&id).unwrap();
-            replica.tick(self.now);
-            for (to, msg) in replica.drain_outbox() {
-                self.net.send(&id, &to, msg);
+        });
+        for (id, replica) in &mut self.replicas {
+            if !self.net.is_crashed(id) {
+                self.events.entry(id.clone()).or_default().extend(replica.drain_events());
             }
-            let events = replica.drain_events();
-            self.events.entry(id.clone()).or_default().extend(events);
         }
     }
 
     /// Runs until `pred` holds or `deadline_ms` of virtual time passes.
     /// Returns whether the predicate held.
     pub fn run_until(&mut self, deadline_ms: u64, mut pred: impl FnMut(&Cluster) -> bool) -> bool {
-        let deadline = self.now + deadline_ms;
-        while self.now < deadline {
+        let deadline = self.now() + deadline_ms;
+        while self.now() < deadline {
             if pred(self) {
                 return true;
             }
@@ -238,8 +231,8 @@ impl Cluster {
 
     /// Runs for a fixed duration.
     pub fn run_for(&mut self, ms: u64) {
-        let deadline = self.now + ms;
-        while self.now < deadline {
+        let deadline = self.now() + ms;
+        while self.now() < deadline {
             self.step();
         }
     }
@@ -250,7 +243,7 @@ impl Cluster {
         let mut primaries: Vec<(&NodeId, View)> = self
             .replicas
             .iter()
-            .filter(|(id, r)| !self.crashed.contains(*id) && r.is_primary())
+            .filter(|(id, r)| !self.net.is_crashed(id) && r.is_primary())
             .map(|(id, r)| (id, r.view()))
             .collect();
         primaries.sort_by_key(|&(_, v)| std::cmp::Reverse(v));
@@ -288,8 +281,7 @@ impl Cluster {
 
     /// Kills a node (crash fault: silent, permanent).
     pub fn crash(&mut self, id: &str) {
-        self.crashed.insert(id.to_string());
-        self.net.crash(&id.to_string());
+        self.net.crash(id);
     }
 
     /// Revives a crashed node with its in-memory state intact.
@@ -300,21 +292,19 @@ impl Cluster {
     /// *exactly* the state it had, equivalent to a long full partition of
     /// that node, so every safety property must still hold.
     pub fn restart(&mut self, id: &str) {
-        if self.crashed.remove(id) {
-            self.net.restart(&id.to_string());
-        }
+        self.net.restart(id);
     }
 
     /// True if the node was crashed.
     pub fn is_crashed(&self, id: &str) -> bool {
-        self.crashed.contains(id)
+        self.net.is_crashed(id)
     }
 
     /// IDs of live (non-crashed) nodes, in deterministic order.
     pub fn live_ids(&self) -> Vec<NodeId> {
         self.replicas
             .keys()
-            .filter(|id| !self.crashed.contains(*id))
+            .filter(|id| !self.net.is_crashed(id))
             .cloned()
             .collect()
     }
@@ -323,7 +313,7 @@ impl Cluster {
     pub fn commit_seqnos(&self) -> BTreeMap<NodeId, Seqno> {
         self.replicas
             .iter()
-            .filter(|(id, _)| !self.crashed.contains(*id))
+            .filter(|(id, _)| !self.net.is_crashed(id))
             .map(|(id, r)| (id.clone(), r.commit_seqno()))
             .collect()
     }
@@ -333,38 +323,15 @@ impl Cluster {
         self.commit_seqnos().values().copied().min().unwrap_or(0)
     }
 
-    /// Checks the fundamental safety property: committed prefixes on all
-    /// live nodes are identical (same TxIds in the same order). Panics
-    /// with diagnostics on violation.
+    /// Checks the fundamental safety property: every replica, crashed or
+    /// not, agrees on the entry (TxId and payload digest) at each seqno it
+    /// has committed. Runs the chaos [`InvariantChecker`] over the
+    /// replicas' current state and panics with its violations.
     pub fn assert_committed_prefixes_consistent(&self) {
-        let live: Vec<_> = self
-            .replicas
-            .iter()
-            .filter(|(id, _)| !self.crashed.contains(*id))
-            .collect();
-        for window in live.windows(2) {
-            let (id_a, a) = window[0];
-            let (id_b, b) = window[1];
-            let common = a.commit_seqno().min(b.commit_seqno());
-            for s in 1..=common {
-                let ta = a.entry_at(s).map(|e| e.entry.txid);
-                let tb = b.entry_at(s).map(|e| e.entry.txid);
-                // Entries below a node's snapshot base are unavailable;
-                // skip those (they were committed by construction).
-                if let (Some(ta), Some(tb)) = (ta, tb) {
-                    assert_eq!(
-                        ta, tb,
-                        "SAFETY VIOLATION: {id_a} and {id_b} disagree at committed seqno {s}"
-                    );
-                    // Stronger: full payload bytes must match, not just ids.
-                    let da = a.entry_at(s).map(|e| e.entry.digest());
-                    let db = b.entry_at(s).map(|e| e.entry.digest());
-                    assert_eq!(
-                        da, db,
-                        "SAFETY VIOLATION: {id_a} and {id_b} have different payloads at {s}"
-                    );
-                }
-            }
+        let mut checker = InvariantChecker::new();
+        for (id, replica) in &self.replicas {
+            checker.check_node(id, replica, &[]);
         }
+        assert!(checker.ok(), "SAFETY VIOLATION: {:?}", checker.violations());
     }
 }

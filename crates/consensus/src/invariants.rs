@@ -208,11 +208,8 @@ impl InvariantChecker {
     /// included: their frozen state must still agree with history).
     pub fn check_cluster(&mut self, cluster: &Cluster) {
         static NO_EVENTS: Vec<Event> = Vec::new();
-        let ids: Vec<NodeId> = cluster.replicas.keys().cloned().collect();
-        for id in ids {
-            let replica = &cluster.replicas[&id];
-            let events = cluster.events.get(&id).unwrap_or(&NO_EVENTS);
-            self.check_node(&id, replica, events);
+        for (id, replica) in &cluster.replicas {
+            self.check_node(id, replica, cluster.events.get(id).unwrap_or(&NO_EVENTS));
         }
     }
 }

@@ -6,7 +6,7 @@
 //! sender's view; receivers update their own view (or reply negatively)
 //! per §4.2.
 
-use crate::{ActiveConfig, NodeId, Seqno, View};
+use crate::{NodeId, Seqno, View};
 use ccf_ledger::{LedgerEntry, TxId};
 use ccf_obs::TraceId;
 
@@ -141,10 +141,4 @@ impl Message {
             Message::InstallSnapshot(_) => "install_snapshot",
         }
     }
-}
-
-/// Helper: the list of active configurations serialized alongside
-/// snapshots (used by `Snapshot` equality in tests).
-pub fn configs_nodes(configs: &[ActiveConfig]) -> Vec<&crate::Config> {
-    configs.iter().map(|c| &c.nodes).collect()
 }

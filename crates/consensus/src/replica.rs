@@ -689,11 +689,6 @@ impl<F: SignatureFactory> Replica<F> {
         self.broadcast_entries();
     }
 
-    /// Number of entries appended since the last signature transaction.
-    pub fn unsigned_since_signature(&self) -> u64 {
-        self.unsigned_since_sig
-    }
-
     /// Changes the signature policy at runtime (benchmarks sweep this;
     /// Figure 8 sets count-only signing after bootstrap).
     pub fn set_signature_policy(&mut self, interval: u64, interval_ms: Time) {

@@ -11,7 +11,7 @@
 
 use crate::app::{AppResult, Application, EndpointDef};
 use crate::service::{ServiceCluster, ServiceOpts};
-use ccf_consensus::chaos::ChaosReport;
+use ccf_consensus::chaos::{run_chaos, ChaosReport, ChaosTarget};
 use ccf_consensus::invariants::{InvariantChecker, StateView, Violation};
 use ccf_consensus::replica::Event;
 use ccf_consensus::NodeId;
@@ -54,7 +54,6 @@ fn chaos_app() -> Application {
 /// Driver state that lives across fault applications.
 struct ServiceChaos {
     service: ServiceCluster,
-    checker: InvariantChecker,
     /// Accumulated consensus events per node (checker keeps cursors).
     events: BTreeMap<NodeId, Vec<Event>>,
     /// Successful write txids not yet receipt-verified.
@@ -133,74 +132,37 @@ impl ServiceChaos {
         }
         self.pending_receipts = still_pending;
     }
+}
 
-    fn check_invariants(&mut self) {
-        let ids: Vec<NodeId> = self.service.nodes.keys().cloned().collect();
-        for id in ids {
-            let node = self.service.nodes[&id].clone();
+impl ChaosTarget for ServiceChaos {
+    fn now(&self) -> Time {
+        self.service.now()
+    }
+
+    fn step(&mut self) {
+        self.service.step();
+    }
+
+    fn check(&mut self, checker: &mut InvariantChecker) {
+        for (id, node) in &self.service.nodes {
             node.enable_event_recording();
             let log = self.events.entry(id.clone()).or_default();
             log.extend(node.take_recorded_events());
-            self.checker.check_node(&id, node.as_ref(), log);
+            checker.check_node(id, node.as_ref(), log);
         }
     }
 
-    fn apply_op(&mut self, op: &NemesisOp, report: &mut ChaosReport) {
-        report.faults_applied += 1;
+    fn apply(&mut self, op: &NemesisOp, report: &mut ChaosReport) {
         // Receipt checking rides on fault application so its cost stays
         // proportional to the schedule, not the step count.
         self.check_receipts(report);
-        let all_ids: Vec<NodeId> = self.service.nodes.keys().cloned().collect();
+        let ids: Vec<NodeId> = self.service.nodes.keys().cloned().collect();
+        let live: Vec<NodeId> = self.service.live_nodes().into_iter().cloned().collect();
+        let primary = self.service.primary();
+        if op.apply_to_net(&mut self.service.net, &ids, &live, primary.as_ref()) {
+            return;
+        }
         match op {
-            NemesisOp::KillPrimary => {
-                if let Some(p) = self.service.primary() {
-                    if self.service.live_nodes().len() > 1 {
-                        self.service.crash(&p);
-                    }
-                }
-            }
-            NemesisOp::KillNode(slot) => {
-                let live: Vec<NodeId> =
-                    self.service.live_nodes().into_iter().cloned().collect();
-                if live.len() > 1 {
-                    let victim = live[slot % live.len()].clone();
-                    self.service.crash(&victim);
-                }
-            }
-            NemesisOp::RestartNode(slot) => {
-                let down: Vec<NodeId> = all_ids
-                    .iter()
-                    .filter(|id| self.service.is_crashed(id))
-                    .cloned()
-                    .collect();
-                if !down.is_empty() {
-                    let back = down[slot % down.len()].clone();
-                    self.service.restart(&back);
-                }
-            }
-            NemesisOp::Partition { left } => {
-                let cut = (*left).clamp(1, all_ids.len().saturating_sub(1));
-                if cut < all_ids.len() {
-                    let a = all_ids[..cut].iter().cloned().collect();
-                    let b = all_ids[cut..].iter().cloned().collect();
-                    self.service.net.partition(vec![a, b]);
-                }
-            }
-            NemesisOp::OneWayBlock { from, to } => {
-                let f = &all_ids[from % all_ids.len()];
-                let t = &all_ids[to % all_ids.len()];
-                if f != t {
-                    self.service.net.block_link(f, t);
-                }
-            }
-            NemesisOp::Heal => self.service.net.heal(),
-            NemesisOp::SetDuplication(p) => {
-                self.service.net.set_duplicate_probability(f64::from(*p) / 100.0)
-            }
-            NemesisOp::SetDrop(p) => {
-                self.service.net.set_drop_probability(f64::from(*p) / 100.0)
-            }
-            NemesisOp::SetLatency { lo, hi } => self.service.net.set_latency(*lo, *hi),
             NemesisOp::ClientBurst(k) => {
                 for i in 0..*k {
                     let body =
@@ -267,7 +229,18 @@ impl ServiceChaos {
                     ));
                 }
             }
+            _ => unreachable!("apply_to_net applies every other op"),
         }
+    }
+
+    fn finish(&mut self, report: &mut ChaosReport) {
+        self.check_receipts(report);
+        report.max_commit =
+            self.service.nodes.values().map(|n| n.commit_seqno()).max().unwrap_or(0);
+    }
+
+    fn obs(&self) -> &ccf_obs::Registry {
+        self.service.obs()
     }
 }
 
@@ -281,62 +254,15 @@ pub fn run_service_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -> 
         Arc::new(chaos_app()),
     );
     service.open_service();
-    let start = service.now();
 
     let mut chaos = ServiceChaos {
         service,
-        checker: InvariantChecker::new(),
         events: BTreeMap::new(),
         pending_receipts: Vec::new(),
         joins: 0,
         gov_counter: 0,
     };
-    let mut report = ChaosReport {
-        seed,
-        steps: 0,
-        max_commit: 0,
-        proposals: 0,
-        faults_applied: 0,
-        violations: Vec::new(),
-        metrics: ccf_obs::Snapshot::default(),
-        forensics: None,
-    };
-    let mut next_event = 0;
-
-    while chaos.service.now() - start < horizon {
-        let offset = chaos.service.now() - start;
-        while next_event < schedule.events.len() && schedule.events[next_event].at <= offset {
-            let op = schedule.events[next_event].op.clone();
-            next_event += 1;
-            chaos.apply_op(&op, &mut report);
-        }
-        chaos.service.step();
-        report.steps += 1;
-        chaos.check_invariants();
-        if !chaos.checker.ok() {
-            report.forensics =
-                Some(ccf_consensus::invariants::forensics(chaos.service.obs(), 64, 4));
-            break;
-        }
-    }
-    chaos.check_receipts(&mut report);
-    report.max_commit = chaos
-        .service
-        .nodes
-        .values()
-        .map(|n| n.commit_seqno())
-        .max()
-        .unwrap_or(0);
-    report
-        .violations
-        .extend(chaos.checker.violations().iter().cloned());
-    if !report.violations.is_empty() && report.forensics.is_none() {
-        // Receipt-check violations surface outside the step loop.
-        report.forensics =
-            Some(ccf_consensus::invariants::forensics(chaos.service.obs(), 64, 4));
-    }
-    report.metrics = chaos.service.obs().snapshot();
-    report
+    run_chaos(&mut chaos, seed, schedule, horizon)
 }
 
 #[cfg(test)]

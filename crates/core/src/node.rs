@@ -1615,23 +1615,15 @@ impl CcfNode {
             .unwrap_or(ccf_obs::TraceId::NONE)
     }
 
-    /// Handles a *signed* user request (§6.4: "optional support for user
-    /// request signing, via the same mechanism that consortium members
-    /// sign governance operations"). The envelope's purpose must be
-    /// `user/<METHOD> <path>`; the signer's key must match a registered
-    /// user cert (stored as the hex public key). Authentication is
-    /// cryptographic — no transport identity needed — and the envelope is
-    /// replay-bound to the method+path.
-    pub fn handle_signed_user_request(&self, envelope: &SignedRequest) -> Response {
-        self.metrics.single_verifies.inc();
-        if envelope.verify().is_err() {
-            return Response::error(401, "invalid request signature");
-        }
-        self.dispatch_signed_user_request(envelope)
-    }
-
-    /// Handles a batch of signed user requests in one call. All envelope
-    /// signatures are checked with a single batched verification
+    /// Handles a batch of *signed* user requests in one call (§6.4:
+    /// "optional support for user request signing, via the same mechanism
+    /// that consortium members sign governance operations"). Each
+    /// envelope's purpose must be `user/<METHOD> <path>`, and its signer's
+    /// key must match a registered user cert (stored as the hex public
+    /// key). Authentication is cryptographic — no transport identity
+    /// needed — and each envelope is replay-bound to the method+path.
+    ///
+    /// All envelope signatures are checked with a single batched verification
     /// ([`ccf_crypto::verify_batch`] — one shared doubling chain for the
     /// whole round); if the batch rejects, each envelope is re-verified
     /// individually so only the offending requests get a 401 and the rest

@@ -19,7 +19,7 @@ use ccf_crypto::{SigningKey, VerifyingKey};
 use ccf_governance::{member_id, Ballot, Proposal, ProposalState};
 use ccf_ledger::{Receipt, TxId};
 use ccf_script::Value;
-use ccf_sim::{NetConfig, SimNet};
+use ccf_sim::{Input, NetConfig, SimNet};
 use ccf_tee::TeePlatform;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -102,8 +102,6 @@ pub struct ServiceCluster {
     opts_consensus: ReplicaConfig,
     platform: TeePlatform,
     snapshot_interval: u64,
-    now: u64,
-    crashed: std::collections::HashSet<NodeId>,
     sessions: BTreeMap<u64, Session>,
     next_session: u64,
     service_identity: Option<VerifyingKey>,
@@ -159,8 +157,6 @@ impl ServiceCluster {
             opts_consensus: opts.consensus.clone(),
             platform: opts.platform,
             snapshot_interval: opts.snapshot_interval,
-            now: 0,
-            crashed: Default::default(),
             sessions: BTreeMap::new(),
             next_session: 0,
             service_identity: None,
@@ -229,8 +225,6 @@ impl ServiceCluster {
             opts_consensus: ReplicaConfig::default(),
             platform: TeePlatform::Virtual,
             snapshot_interval: 20,
-            now: 0,
-            crashed: Default::default(),
             sessions: BTreeMap::new(),
             next_session: 0,
             service_identity,
@@ -311,33 +305,19 @@ impl ServiceCluster {
 
     /// Current virtual time (ms).
     pub fn now(&self) -> u64 {
-        self.now
+        self.net.now()
     }
 
-    /// One millisecond of virtual time.
+    /// One millisecond of virtual time: one [`SimNet::step`] over every
+    /// node, in id order.
     pub fn step(&mut self) {
-        self.now += 1;
-        self.obs.set_now(self.now);
-        for d in self.net.deliveries_until(self.now) {
-            if self.crashed.contains(&d.to) {
-                continue;
-            }
-            if let Some(node) = self.nodes.get(&d.to) {
-                for (to, msg) in node.receive(&d.from, d.msg) {
-                    self.net.send(&d.to, &to, msg);
-                }
-            }
-        }
         let ids: Vec<NodeId> = self.nodes.keys().cloned().collect();
-        for id in ids {
-            if self.crashed.contains(&id) {
-                continue;
-            }
-            let node = self.nodes[&id].clone();
-            for (to, msg) in node.tick(self.now) {
-                self.net.send(&id, &to, msg);
-            }
-        }
+        let nodes = &self.nodes;
+        self.net.step(&ids, |id, input| match (nodes.get(id), input) {
+            (Some(node), Input::Message(from, msg)) => node.receive(&from, msg),
+            (Some(node), Input::Tick(now)) => node.tick(now),
+            (None, _) => Vec::new(),
+        });
     }
 
     /// Runs for `ms` of virtual time.
@@ -349,8 +329,8 @@ impl ServiceCluster {
 
     /// Runs until `pred` holds (true) or `deadline_ms` passes (false).
     pub fn run_until(&mut self, deadline_ms: u64, mut pred: impl FnMut(&ServiceCluster) -> bool) -> bool {
-        let deadline = self.now + deadline_ms;
-        while self.now < deadline {
+        let deadline = self.now() + deadline_ms;
+        while self.now() < deadline {
             if pred(self) {
                 return true;
             }
@@ -375,7 +355,7 @@ impl ServiceCluster {
     pub fn primary(&self) -> Option<NodeId> {
         let mut best: Option<(NodeId, u64)> = None;
         for (id, node) in &self.nodes {
-            if self.crashed.contains(id) {
+            if self.net.is_crashed(id) {
                 continue;
             }
             if node.is_primary() {
@@ -392,19 +372,18 @@ impl ServiceCluster {
     pub fn live_nodes(&self) -> Vec<&NodeId> {
         self.nodes
             .keys()
-            .filter(|id| !self.crashed.contains(*id) && !self.nodes[*id].is_retired())
+            .filter(|id| !self.net.is_crashed(id) && !self.nodes[*id].is_retired())
             .collect()
     }
 
     /// Crashes a node (silent, permanent — CCF nodes are ephemeral, §6.2).
     pub fn crash(&mut self, id: &str) {
-        self.crashed.insert(id.to_string());
-        self.net.crash(&id.to_string());
+        self.net.crash(id);
     }
 
     /// True if crashed.
     pub fn is_crashed(&self, id: &str) -> bool {
-        self.crashed.contains(id)
+        self.net.is_crashed(id)
     }
 
     /// Revives a crashed node with its in-memory state intact (chaos
@@ -413,9 +392,7 @@ impl ServiceCluster {
     /// partition of that node, so it is a valid — and stronger — fault
     /// for the nemesis to inject.
     pub fn restart(&mut self, id: &str) {
-        if self.crashed.remove(id) {
-            self.net.restart(&id.to_string());
-        }
+        self.net.restart(id);
     }
 
     // ------------------------------------------------------------------
@@ -429,7 +406,7 @@ impl ServiceCluster {
         let live: Vec<NodeId> = self
             .nodes
             .keys()
-            .filter(|id| !self.crashed.contains(*id))
+            .filter(|id| !self.net.is_crashed(id))
             .cloned()
             .collect();
         let node = live[node_idx % live.len()].clone();
@@ -452,14 +429,14 @@ impl ServiceCluster {
         let Some(session) = self.sessions.get(&session_id) else {
             return Response::error(400, "no such session");
         };
-        if self.crashed.contains(&session.node) {
+        if self.net.is_crashed(&session.node) {
             return Response::error(503, "node unreachable; reconnect to another node");
         }
         // Session consistency: once forwarded, always forwarded — and if
         // the forwarding target's epoch changed, terminate the session.
         let target = match &session.forwarded_to {
             Some((primary, epoch)) => {
-                if self.crashed.contains(primary)
+                if self.net.is_crashed(primary)
                     || self.nodes[primary].view_epoch() != *epoch
                     || !self.nodes[primary].is_primary()
                 {
@@ -475,7 +452,7 @@ impl ServiceCluster {
         if resp.status == 307 {
             // Forward to the primary hint and pin the session (§4.3).
             let mut hint = String::from_utf8_lossy(&resp.body).to_string();
-            if hint.is_empty() || self.crashed.contains(&hint) || !self.nodes.contains_key(&hint) {
+            if hint.is_empty() || self.net.is_crashed(&hint) || !self.nodes.contains_key(&hint) {
                 // Stale hint (e.g. the old primary just crashed): fall
                 // back to the cluster's current primary, as a retrying
                 // client scanning nodes would find it.
@@ -558,7 +535,7 @@ impl ServiceCluster {
         let live: Vec<NodeId> = self
             .nodes
             .keys()
-            .filter(|id| !self.crashed.contains(*id))
+            .filter(|id| !self.net.is_crashed(id))
             .cloned()
             .collect();
         let node_id = live[node_idx % live.len()].clone();
@@ -569,7 +546,7 @@ impl ServiceCluster {
             .find(|(_, r, _)| r.status == 307)
             .map(|(_, r, _)| String::from_utf8_lossy(&r.body).to_string());
         if let Some(mut hint) = hint {
-            if hint.is_empty() || self.crashed.contains(&hint) || !self.nodes.contains_key(&hint) {
+            if hint.is_empty() || self.net.is_crashed(&hint) || !self.nodes.contains_key(&hint) {
                 hint = match self.primary() {
                     Some(p) => p,
                     None => {

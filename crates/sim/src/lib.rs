@@ -9,6 +9,16 @@
 //!
 //! The simulator is generic over the message type: `ccf-consensus` drives
 //! it with consensus RPCs, `ccf-core` with full node-to-node traffic.
+//!
+//! [`SimNet`] is the one simulator core under both cluster harnesses: it
+//! owns the virtual clock and the set of crashed nodes, and
+//! [`SimNet::step`] is the step loop. Each call advances time by 1 ms,
+//! hands every message now due to its recipient as [`Input::Message`],
+//! then ticks each live node with [`Input::Tick`], and sends whatever
+//! each call returns from the node it was made for. The harness supplies
+//! the nodes as a closure, so one loop drives consensus replicas and full
+//! service nodes alike. [`nemesis::NemesisOp::apply_to_net`] is the one
+//! applier of infrastructure faults (crashes, partitions, link faults).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -59,6 +69,15 @@ impl<M: Eq> PartialOrd for Scheduled<M> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// What [`SimNet::step`] hands a node.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Input<M> {
+    /// A message from the given sender, due now.
+    Message(NodeId, M),
+    /// The per-step timer tick, carrying the new virtual time.
+    Tick(Time),
 }
 
 /// A message delivered by [`SimNet::deliveries_until`].
@@ -173,11 +192,6 @@ impl<M: Eq + Clone> SimNet<M> {
         self.now
     }
 
-    /// Advances virtual time (monotonic).
-    pub fn advance_to(&mut self, t: Time) {
-        self.now = self.now.max(t);
-    }
-
     /// Total messages offered to the network.
     pub fn sent_count(&self) -> u64 {
         self.sent
@@ -265,7 +279,7 @@ impl<M: Eq + Clone> SimNet<M> {
     /// Messages to nodes that crashed after sending are dropped at
     /// delivery time.
     pub fn deliveries_until(&mut self, t: Time) -> Vec<Delivery<M>> {
-        self.advance_to(t);
+        self.now = self.now.max(t);
         let mut out = Vec::new();
         while let Some(Reverse(head)) = self.queue.peek() {
             if head.deliver_at > t {
@@ -283,20 +297,47 @@ impl<M: Eq + Clone> SimNet<M> {
         out
     }
 
-    /// Marks a node as crashed: it sends and receives nothing.
-    pub fn crash(&mut self, node: &NodeId) {
-        self.crashed.insert(node.clone());
+    /// Advances virtual time by 1 ms and drives the nodes through it.
+    ///
+    /// Sets the attached registry's clock, hands each message now due to
+    /// its recipient as [`Input::Message`], then calls `node` with
+    /// [`Input::Tick`] for each live node in `ids` order. Whatever a call
+    /// returns is sent from the node it was made for. Crashed nodes get
+    /// neither messages nor ticks.
+    pub fn step(&mut self, ids: &[NodeId], mut node: impl FnMut(&NodeId, Input<M>) -> Vec<(NodeId, M)>) {
+        let now = self.now + 1;
+        if let Some(reg) = &self.reg {
+            reg.set_now(now);
+        }
+        for d in self.deliveries_until(now) {
+            for (to, msg) in node(&d.to, Input::Message(d.from, d.msg)) {
+                self.send(&d.to, &to, msg);
+            }
+        }
+        for id in ids {
+            if self.crashed.contains(id) {
+                continue;
+            }
+            for (to, msg) in node(id, Input::Tick(now)) {
+                self.send(id, &to, msg);
+            }
+        }
     }
 
-    /// Heals a crashed node's connectivity (the consensus layer treats it
-    /// as a fresh node — CCF nodes never resume, §6.2 — but benches reuse
-    /// ids for client endpoints).
-    pub fn restart(&mut self, node: &NodeId) {
+    /// Marks a node as crashed: it sends and receives nothing, and
+    /// [`SimNet::step`] stops ticking it.
+    pub fn crash(&mut self, node: &str) {
+        self.crashed.insert(node.to_string());
+    }
+
+    /// Revives a crashed node: it is ticked and reachable again, with
+    /// whatever state its harness kept.
+    pub fn restart(&mut self, node: &str) {
         self.crashed.remove(node);
     }
 
     /// True if the node is currently crashed.
-    pub fn is_crashed(&self, node: &NodeId) -> bool {
+    pub fn is_crashed(&self, node: &str) -> bool {
         self.crashed.contains(node)
     }
 
@@ -317,11 +358,6 @@ impl<M: Eq + Clone> SimNet<M> {
         self.blocked_links.insert((from.clone(), to.clone()));
     }
 
-    /// Unblocks a directed link.
-    pub fn unblock_link(&mut self, from: &NodeId, to: &NodeId) {
-        self.blocked_links.remove(&(from.clone(), to.clone()));
-    }
-
     /// Sets the probability that a sent message is scheduled twice.
     pub fn set_duplicate_probability(&mut self, p: f64) {
         self.duplicate_probability = p.clamp(0.0, 1.0);
@@ -335,33 +371,6 @@ impl<M: Eq + Clone> SimNet<M> {
     /// Sets the latency range at runtime (reordering widens the window).
     pub fn set_latency(&mut self, lo: Time, hi: Time) {
         self.cfg.latency = (lo, hi.max(lo + 1));
-    }
-
-    /// Draws from the simulation's RNG (for jitter decisions by harnesses,
-    /// keeping all randomness under the one seed).
-    pub fn rng(&mut self) -> &mut ChaChaRng {
-        &mut self.rng
-    }
-
-    /// Time of the next *deliverable* message, if any (lets harnesses skip
-    /// idle periods).
-    ///
-    /// Messages whose recipient is crashed or partitioned away from the
-    /// sender would be dropped at delivery time anyway; reporting their
-    /// times here made harness `step()` loops busy-advance the clock
-    /// through traffic that could never arrive. Such heads are discarded
-    /// (and counted as dropped) until a deliverable one — or nothing — is
-    /// found.
-    pub fn next_delivery_at(&mut self) -> Option<Time> {
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if !self.undeliverable(&head.to, &head.from) {
-                return Some(head.deliver_at);
-            }
-            let Reverse(s) = self.queue.pop().unwrap();
-            self.count_dropped();
-            self.flight("drop", &s.from, &s.to, &s.msg, s.deliver_at);
-        }
-        None
     }
 }
 
@@ -455,31 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn next_delivery_at_skips_idle_time() {
-        let mut net: SimNet<u32> = SimNet::new(NetConfig { latency: (50, 51), drop_probability: 0.0 }, 1);
-        assert_eq!(net.next_delivery_at(), None);
-        net.send(&n("a"), &n("b"), 1);
-        assert_eq!(net.next_delivery_at(), Some(50));
-    }
-
-    #[test]
-    fn next_delivery_at_skips_undeliverable_heads() {
-        let mut net: SimNet<u32> = SimNet::new(NetConfig { latency: (10, 11), drop_probability: 0.0 }, 1);
-        net.send(&n("a"), &n("b"), 1);
-        net.advance_to(5);
-        net.send(&n("a"), &n("c"), 2); // due at 15, after the doomed head
-        net.crash(&n("b"));
-        // The head (a→b at 10) can never arrive; the next deliverable
-        // message is a→c at 15.
-        assert_eq!(net.next_delivery_at(), Some(15));
-        assert_eq!(net.dropped_count(), 1);
-        // And with everything undeliverable, report no pending work.
-        net.crash(&n("c"));
-        assert_eq!(net.next_delivery_at(), None);
-        assert_eq!(net.dropped_count(), 2);
-    }
-
-    #[test]
     fn one_way_block_is_directional() {
         let mut net: SimNet<u32> = SimNet::new(NetConfig::default(), 1);
         net.block_link(&n("a"), &n("b"));
@@ -506,6 +490,78 @@ mod tests {
         assert_eq!(d.len(), 20);
         for i in 0..10 {
             assert_eq!(d.iter().filter(|x| x.msg == i).count(), 2);
+        }
+    }
+
+    /// Runs `steps` [`SimNet::step`]s over `ids`, recording every input
+    /// each node receives; `reply` decides what a node sends back for a
+    /// message.
+    fn record_steps(
+        net: &mut SimNet<u32>,
+        ids: &[NodeId],
+        steps: usize,
+        reply: impl Fn(&NodeId, &NodeId, u32) -> Vec<(NodeId, u32)>,
+    ) -> Vec<(NodeId, Input<u32>)> {
+        let mut seen = Vec::new();
+        for _ in 0..steps {
+            net.step(ids, |id, input| {
+                seen.push((id.clone(), input.clone()));
+                match input {
+                    Input::Message(from, msg) => reply(id, &from, msg),
+                    Input::Tick(_) => Vec::new(),
+                }
+            });
+        }
+        seen
+    }
+
+    #[test]
+    fn step_skips_crashed_nodes() {
+        let mut net: SimNet<u32> = SimNet::new(NetConfig::default(), 1);
+        net.send(&n("a"), &n("b"), 1);
+        net.crash("b");
+        let seen = record_steps(&mut net, &[n("a"), n("b")], 20, |_, _, _| Vec::new());
+        assert!(seen.iter().all(|(id, _)| id == "a"), "{seen:?}");
+        assert_eq!(seen.len(), 20);
+        assert_eq!(net.dropped_count(), 1);
+    }
+
+    #[test]
+    fn step_ticks_follow_ids_order() {
+        let mut net: SimNet<u32> = SimNet::new(NetConfig::default(), 1);
+        let ids = [n("b"), n("a"), n("c")];
+        let seen = record_steps(&mut net, &ids, 2, |_, _, _| Vec::new());
+        let expected: Vec<(NodeId, Input<u32>)> = [1, 2]
+            .into_iter()
+            .flat_map(|t| ids.iter().map(move |id| (id.clone(), Input::Tick(t))))
+            .collect();
+        assert_eq!(seen, expected);
+    }
+
+    #[test]
+    fn step_sends_replies_from_the_recipient() {
+        let mut net: SimNet<u32> = SimNet::new(NetConfig::default(), 1);
+        net.send(&n("a"), &n("b"), 7);
+        let seen = record_steps(&mut net, &[n("a"), n("b")], 20, |id, from, msg| {
+            if id == "b" { vec![(from.clone(), msg + 1)] } else { Vec::new() }
+        });
+        let messages: Vec<_> =
+            seen.into_iter().filter(|(_, i)| matches!(i, Input::Message(..))).collect();
+        assert_eq!(
+            messages,
+            vec![(n("b"), Input::Message(n("a"), 7)), (n("a"), Input::Message(n("b"), 8))]
+        );
+    }
+
+    #[test]
+    fn step_advances_the_registry_clock_with_the_net() {
+        let reg = ccf_obs::Registry::new();
+        let mut net: SimNet<u32> = SimNet::new(NetConfig::default(), 1);
+        net.set_registry(&reg);
+        for t in 1..=5 {
+            net.step(&[n("a")], |_, _| Vec::new());
+            assert_eq!(net.now(), t);
+            assert_eq!(reg.now(), net.now());
         }
     }
 }

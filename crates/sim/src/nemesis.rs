@@ -12,7 +12,7 @@
 //! schedule meaningful for both harnesses and keeps schedules valid under
 //! shrinking (removing an event never invalidates later ones).
 
-use crate::Time;
+use crate::{NodeId, SimNet, Time};
 use ccf_crypto::chacha::ChaChaRng;
 
 /// One fault operation. Node references are abstract slot indices,
@@ -59,6 +59,64 @@ pub enum NemesisOp {
     AddNode,
     /// Start removing the node at this slot from the configuration.
     RemoveNode(usize),
+}
+
+impl NemesisOp {
+    /// Applies an infrastructure fault (a kill, restart, partition,
+    /// one-way block, heal, or a duplication, drop or latency setting) to
+    /// `net` and returns `true`. Returns `false`, changing nothing, for the
+    /// ops only a driver can apply: [`NemesisOp::ClientBurst`],
+    /// [`NemesisOp::AddNode`] and [`NemesisOp::RemoveNode`].
+    ///
+    /// `ids` are all of the driver's nodes in slot order, `live` the ones a
+    /// kill may pick, and `primary` the node [`NemesisOp::KillPrimary`]
+    /// crashes. A kill never takes down the last live node.
+    pub fn apply_to_net<M: Eq + Clone>(
+        &self,
+        net: &mut SimNet<M>,
+        ids: &[NodeId],
+        live: &[NodeId],
+        primary: Option<&NodeId>,
+    ) -> bool {
+        match self {
+            NemesisOp::KillPrimary => {
+                if let Some(p) = primary.filter(|_| live.len() > 1) {
+                    net.crash(p);
+                }
+            }
+            NemesisOp::KillNode(slot) => {
+                if live.len() > 1 {
+                    net.crash(&live[slot % live.len()]);
+                }
+            }
+            NemesisOp::RestartNode(slot) => {
+                let down: Vec<&NodeId> = ids.iter().filter(|id| net.is_crashed(id)).collect();
+                if !down.is_empty() {
+                    net.restart(down[slot % down.len()]);
+                }
+            }
+            NemesisOp::Partition { left } => {
+                if ids.len() > 1 {
+                    let (a, b) = ids.split_at((*left).clamp(1, ids.len() - 1));
+                    net.partition(vec![a.iter().cloned().collect(), b.iter().cloned().collect()]);
+                }
+            }
+            NemesisOp::OneWayBlock { from, to } => {
+                let (f, t) = (&ids[from % ids.len()], &ids[to % ids.len()]);
+                if f != t {
+                    net.block_link(f, t);
+                }
+            }
+            NemesisOp::Heal => net.heal(),
+            NemesisOp::SetDuplication(p) => net.set_duplicate_probability(f64::from(*p) / 100.0),
+            NemesisOp::SetDrop(p) => net.set_drop_probability(f64::from(*p) / 100.0),
+            NemesisOp::SetLatency { lo, hi } => net.set_latency(*lo, *hi),
+            NemesisOp::ClientBurst(_) | NemesisOp::AddNode | NemesisOp::RemoveNode(_) => {
+                return false
+            }
+        }
+        true
+    }
 }
 
 /// A fault operation pinned to a virtual time.
@@ -202,5 +260,89 @@ mod tests {
         assert!(fails(&s));
         let shrunk = s.shrink(&mut |c| fails(c));
         assert_eq!(shrunk.events.len(), 2);
+    }
+
+    fn ids(names: &[&str]) -> Vec<NodeId> {
+        names.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn net() -> SimNet<u32> {
+        SimNet::new(crate::NetConfig { latency: (1, 2), drop_probability: 0.0 }, 1)
+    }
+
+    /// Sends one message from `a` to `b` and reports whether it arrived.
+    fn reaches(net: &mut SimNet<u32>, a: &str, b: &str) -> bool {
+        net.send(&a.to_string(), &b.to_string(), 0);
+        !net.deliveries_until(net.now() + 100).is_empty()
+    }
+
+    #[test]
+    fn kills_and_restarts_pick_their_slots() {
+        let all = ids(&["a", "b", "c"]);
+        let mut net = net();
+        assert!(NemesisOp::KillPrimary.apply_to_net(&mut net, &all, &all, Some(&all[1])));
+        assert!(net.is_crashed("b"));
+        let live = ids(&["a", "c"]);
+        assert!(NemesisOp::KillNode(3).apply_to_net(&mut net, &all, &live, None));
+        assert!(net.is_crashed("c") && !net.is_crashed("a"));
+        // Down nodes in slot order are [b, c]: slot 3 picks c.
+        assert!(NemesisOp::RestartNode(3).apply_to_net(&mut net, &all, &ids(&["a"]), None));
+        assert!(net.is_crashed("b") && !net.is_crashed("c"));
+    }
+
+    #[test]
+    fn kills_never_take_down_the_last_live_node() {
+        let all = ids(&["a", "b"]);
+        let live = ids(&["a"]);
+        let mut net = net();
+        net.crash("b");
+        assert!(NemesisOp::KillPrimary.apply_to_net(&mut net, &all, &live, Some(&live[0])));
+        assert!(NemesisOp::KillNode(0).apply_to_net(&mut net, &all, &live, None));
+        assert!(!net.is_crashed("a"));
+    }
+
+    #[test]
+    fn partitions_blocks_and_heal_shape_reachability() {
+        let all = ids(&["a", "b", "c"]);
+        let mut net = net();
+        assert!(NemesisOp::Partition { left: 1 }.apply_to_net(&mut net, &all, &all, None));
+        assert!(!reaches(&mut net, "a", "b"));
+        assert!(reaches(&mut net, "b", "c"));
+        assert!(NemesisOp::Heal.apply_to_net(&mut net, &all, &all, None));
+        assert!(reaches(&mut net, "a", "b"));
+        // Slots wrap: from 3 is a, to 4 is b.
+        assert!(NemesisOp::OneWayBlock { from: 3, to: 4 }.apply_to_net(&mut net, &all, &all, None));
+        assert!(!reaches(&mut net, "a", "b"));
+        assert!(reaches(&mut net, "b", "a"));
+        assert!(NemesisOp::Heal.apply_to_net(&mut net, &all, &all, None));
+        assert!(reaches(&mut net, "a", "b"));
+    }
+
+    #[test]
+    fn link_settings_reach_the_net() {
+        let all = ids(&["a", "b"]);
+        let mut net = net();
+        assert!(NemesisOp::SetDuplication(100).apply_to_net(&mut net, &all, &all, None));
+        net.send(&all[0], &all[1], 1);
+        assert_eq!(net.deliveries_until(100).len(), 2);
+        assert!(NemesisOp::SetDuplication(0).apply_to_net(&mut net, &all, &all, None));
+        assert!(NemesisOp::SetLatency { lo: 7, hi: 8 }.apply_to_net(&mut net, &all, &all, None));
+        net.send(&all[0], &all[1], 2);
+        let d = net.deliveries_until(net.now() + 100);
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].at, 107);
+        assert!(NemesisOp::SetDrop(100).apply_to_net(&mut net, &all, &all, None));
+        assert!(!reaches(&mut net, "a", "b"));
+    }
+
+    #[test]
+    fn driver_ops_are_left_to_the_driver() {
+        let all = ids(&["a", "b", "c"]);
+        let mut net = net();
+        for op in [NemesisOp::ClientBurst(3), NemesisOp::AddNode, NemesisOp::RemoveNode(1)] {
+            assert!(!op.apply_to_net(&mut net, &all, &all, Some(&all[0])));
+        }
+        assert!(all.iter().all(|id| !net.is_crashed(id)));
+        assert!(reaches(&mut net, "a", "b"));
     }
 }

@@ -22,6 +22,12 @@ cargo test -q --release -p ccf-consensus --test replica_hardening
 echo "== tier1: bounded chaos sweep (release, fixed seeds)"
 cargo run -q --release -p ccf-bench --bin chaos -- --seeds 25
 
+echo "== tier1: chaos determinism (a second sweep, byte-identical OBS_chaos.json)"
+cp OBS_chaos.json OBS_chaos.first.json
+cargo run -q --release -p ccf-bench --bin chaos -- --seeds 25 > /dev/null
+cmp OBS_chaos.json OBS_chaos.first.json
+rm -f OBS_chaos.first.json
+
 echo "== tier1: symmetric fast-path smoke (fast == reference, emits JSON)"
 cargo run -q --release -p ccf-bench --bin bench_symmetric -- --smoke
 
