@@ -275,10 +275,6 @@ pub struct Replica<F: SignatureFactory> {
     events: Vec<Event>,
 
     metrics: Option<ReplicaMetrics>,
-    /// In-flight election span: opened at `start_election`, recorded at
-    /// `become_primary` (so the duration covers winning elections only;
-    /// lost candidacies just drop the token).
-    election_span: Option<ccf_obs::SpanToken>,
     /// Traced entries appended but not yet committed, by seqno. Pruned
     /// on commit (closing their stage spans) and on rollback (dropping
     /// them silently).
@@ -328,7 +324,6 @@ impl<F: SignatureFactory> Replica<F> {
         outbox: Vec::new(),
             events: Vec::new(),
             metrics: None,
-            election_span: None,
             inflight_traces: std::collections::BTreeMap::new(),
         };
         r.reset_election_timer();
@@ -1007,7 +1002,6 @@ impl<F: SignatureFactory> Replica<F> {
         if let Some(m) = &self.metrics {
             m.elections_started.inc();
             m.reg.flight(m.node, "election", "start", None, self.view + 1, self.last_sig.seqno);
-            self.election_span = Some(m.reg.span_enter("consensus.election"));
         }
         self.role = Role::Candidate;
         self.view += 1;
@@ -1046,9 +1040,6 @@ impl<F: SignatureFactory> Replica<F> {
         if let Some(m) = &self.metrics {
             m.elections_won.inc();
             m.reg.flight(m.node, "election", "won", None, self.view, self.last_seqno());
-            if let Some(span) = self.election_span.take() {
-                m.reg.span_exit(span);
-            }
         }
         // Discard everything after the last signature transaction (§4.2).
         self.truncate_to(self.last_sig.seqno.max(self.commit_seqno));
@@ -1072,8 +1063,6 @@ impl<F: SignatureFactory> Replica<F> {
     }
 
     fn become_backup(&mut self, view: View, _reason: &str) {
-        // A candidacy that did not win leaves no span record.
-        self.election_span = None;
         let was_leaderish = matches!(self.role, Role::Primary | Role::Candidate | Role::Retiring);
         if view > self.view {
             self.view = view;

@@ -1689,9 +1689,7 @@ impl CcfNode {
         let (tickets, envelopes): (Vec<u64>, Vec<SignedRequest>) = batch.into_iter().unzip();
         self.metrics.signed_batches.inc();
         self.metrics.batch_verify_size.observe(envelopes.len() as u64);
-        let span = self.metrics.reg.span_enter("node.signed_batch");
         let responses = self.handle_signed_user_requests(&envelopes);
-        self.metrics.reg.span_exit(span);
         let mut inner = self.inner.lock();
         let now = self.metrics.reg.now();
         for (ticket, resp) in tickets.into_iter().zip(responses) {

@@ -1,5 +1,5 @@
 //! Deterministic observability for the CCF reproduction: RED-style
-//! metrics, Dapper-style span tracing, causal request traces, and a
+//! metrics, causal request traces (Dapper-style stage spans), and a
 //! crash-forensics flight recorder — with no dependencies.
 //!
 //! The paper evaluates CCF with per-subsystem breakdowns (§7, Figs.
@@ -25,21 +25,18 @@
 //!   (`le`-style cumulative export), plus count and sum. No dynamic
 //!   resizing, so observation cost is a branchless-ish scan over a
 //!   handful of atomics.
-//! * Spans — [`Registry::span_enter`] returns a [`SpanToken`] capturing
-//!   the virtual start time and a monotone sequence number;
-//!   [`Registry::span_exit`] records the completed span into a bounded
-//!   ring buffer (old spans are overwritten, a total count is kept).
-//!   Off-simulation — when nothing calls [`Registry::set_now`] — the
-//!   virtual clock stays at zero and the sequence number alone provides
-//!   a monotonic ordering stub.
-//! * Traces — [`Registry::mint_trace`] issues a [`TraceId`] when a user
-//!   request enters the node; components along the write path record
-//!   stage spans against it with [`Registry::trace_enter`] /
-//!   [`Registry::trace_exit`] (stages: `queue`, `forward`, `request`,
-//!   `append`, `sign`, `replicate`, `commit`, `receipt`). The id — a
-//!   plain `u64` — piggybacks on consensus messages, so a trace spans
-//!   nodes. [`trace::assemble`] rebuilds trace trees from a snapshot
-//!   and computes per-stage critical paths.
+//! * Traces — the one span model. [`Registry::mint_trace`] issues a
+//!   [`TraceId`] when a user request enters the node; components along
+//!   the write path record stage spans against it with
+//!   [`Registry::trace_enter`] / [`Registry::trace_exit`] (stages:
+//!   `queue`, `forward`, `request`, `append`, `sign`, `replicate`,
+//!   `commit`, `receipt`) into a bounded ring buffer (old spans are
+//!   overwritten, a total count is kept). The id — a plain `u64` —
+//!   piggybacks on consensus messages, so a trace spans nodes.
+//!   [`trace::assemble`] rebuilds trace trees from a snapshot and
+//!   computes per-stage critical paths. Off-simulation — when nothing
+//!   calls [`Registry::set_now`] — the virtual clock stays at zero and
+//!   a monotone sequence number alone orders spans and events.
 //! * Flight recorder — [`Registry::flight`] records bounded structured
 //!   protocol events (message send/recv/drop, elections, rollbacks,
 //!   snapshots). When an invariant trips, the last N events — already
@@ -66,9 +63,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Default capacity of the span ring buffer (completed spans retained).
-pub const DEFAULT_SPAN_CAPACITY: usize = 1024;
 
 /// Default capacity of the trace-span ring buffer.
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
@@ -178,42 +172,6 @@ impl Histogram {
             sum: self.sum(),
         }
     }
-}
-
-/// An in-flight span: returned by [`Registry::span_enter`], consumed by
-/// [`Registry::span_exit`]. Dropping a token without exiting simply
-/// records nothing.
-#[derive(Debug)]
-#[must_use = "pass the token to span_exit to record the span"]
-pub struct SpanToken {
-    name: &'static str,
-    start: u64,
-    start_seq: u64,
-}
-
-/// One completed span as captured in a [`Snapshot`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Static span name (same namespace as metrics).
-    pub name: String,
-    /// Virtual-time start (ms; 0 off-simulation).
-    pub start: u64,
-    /// Virtual-time end (ms).
-    pub end: u64,
-    /// Monotone sequence number at enter — a total order over all
-    /// observability events of the run, including zero-duration spans.
-    pub seq: u64,
-}
-
-/// Internal ring representation of a completed span. Names stay
-/// `&'static str` here — the owned [`SpanRecord`] string is built only
-/// at [`Registry::snapshot`] time, so span exit never allocates.
-#[derive(Clone, Copy, Debug)]
-struct SpanRec {
-    name: &'static str,
-    start: u64,
-    end: u64,
-    seq: u64,
 }
 
 /// A bounded ring: keeps the last `capacity` items, counts everything.
@@ -393,7 +351,6 @@ struct Inner {
     counters: Mutex<BTreeMap<&'static str, Counter>>,
     gauges: Mutex<BTreeMap<&'static str, Gauge>>,
     histograms: Mutex<BTreeMap<&'static str, Histogram>>,
-    spans: Mutex<Ring<SpanRec>>,
     traces: Mutex<Ring<TraceRec>>,
     flight: Mutex<Ring<FlightRec>>,
     /// Interned node names; a [`NodeRef`] indexes this vec.
@@ -407,8 +364,8 @@ struct Inner {
     trace_ids: AtomicU64,
 }
 
-/// A registry of metrics and spans for one run. Cloning yields another
-/// handle to the same underlying state.
+/// A registry of metrics, trace spans and flight events for one run.
+/// Cloning yields another handle to the same underlying state.
 #[derive(Clone, Debug)]
 pub struct Registry(Arc<Inner>);
 
@@ -421,28 +378,16 @@ impl Default for Registry {
 impl Registry {
     /// Creates an empty registry with the default capacities.
     pub fn new() -> Self {
-        Registry::with_capacities(
-            DEFAULT_SPAN_CAPACITY,
-            DEFAULT_TRACE_CAPACITY,
-            DEFAULT_FLIGHT_CAPACITY,
-        )
-    }
-
-    /// Creates an empty registry retaining at most `capacity` completed
-    /// spans (older spans are overwritten; the total is still counted).
-    /// Trace and flight rings keep their default capacities.
-    pub fn with_span_capacity(capacity: usize) -> Self {
-        Registry::with_capacities(capacity, DEFAULT_TRACE_CAPACITY, DEFAULT_FLIGHT_CAPACITY)
+        Registry::with_capacities(DEFAULT_TRACE_CAPACITY, DEFAULT_FLIGHT_CAPACITY)
     }
 
     /// Creates an empty registry with explicit ring capacities for
-    /// completed spans, trace stage spans, and flight-recorder events.
-    pub fn with_capacities(spans: usize, traces: usize, flight: usize) -> Self {
+    /// trace stage spans and flight-recorder events.
+    pub fn with_capacities(traces: usize, flight: usize) -> Self {
         Registry(Arc::new(Inner {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(Ring::new(spans)),
             traces: Mutex::new(Ring::new(traces)),
             flight: Mutex::new(Ring::new(flight)),
             nodes: Mutex::new(Vec::new()),
@@ -496,25 +441,6 @@ impl Registry {
 
     fn next_seq(&self) -> u64 {
         self.0.seq.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Opens a span named `name`, stamping the current virtual time and
-    /// the next sequence number.
-    pub fn span_enter(&self, name: &'static str) -> SpanToken {
-        SpanToken { name, start: self.now(), start_seq: self.next_seq() }
-    }
-
-    /// Closes `token`, recording the completed span into the ring
-    /// buffer. Allocation-free: the owned name string is only built at
-    /// [`Registry::snapshot`] time.
-    pub fn span_exit(&self, token: SpanToken) {
-        let rec = SpanRec {
-            name: token.name,
-            start: token.start,
-            end: self.now(),
-            seq: token.start_seq,
-        };
-        self.0.spans.lock().unwrap().push(rec);
     }
 
     /// Interns `name`, returning a cheap `Copy` reference for use in
@@ -674,20 +600,6 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.to_string(), v.snapshot()))
             .collect();
-        let (spans_total, spans) = {
-            let ring = self.0.spans.lock().unwrap();
-            let spans = ring
-                .ordered()
-                .into_iter()
-                .map(|r| SpanRecord {
-                    name: r.name.to_string(),
-                    start: r.start,
-                    end: r.end,
-                    seq: r.seq,
-                })
-                .collect();
-            (ring.total, spans)
-        };
         let (trace_spans_total, trace_recs) = {
             let ring = self.0.traces.lock().unwrap();
             (ring.total, ring.ordered())
@@ -713,8 +625,6 @@ impl Registry {
             counters,
             gauges,
             histograms,
-            spans_total,
-            spans,
             trace_spans_total,
             trace_spans,
             flight_total,
@@ -752,10 +662,6 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, u64>,
     /// Histogram states by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Total spans ever recorded (including ones the ring dropped).
-    pub spans_total: u64,
-    /// Retained spans, oldest first.
-    pub spans: Vec<SpanRecord>,
     /// Total trace stage spans ever recorded.
     pub trace_spans_total: u64,
     /// Retained trace stage spans, oldest first.
@@ -850,20 +756,9 @@ impl Snapshot {
                 h.sum
             );
         });
-        let _ = write!(s, "}},\n  \"spans_total\": {},\n  \"spans\": [", self.spans_total);
-        join_map(&mut s, self.spans.iter(), |s, r| {
-            let _ = write!(
-                s,
-                "{{\"name\": \"{}\", \"start\": {}, \"end\": {}, \"seq\": {}}}",
-                escape(&r.name),
-                r.start,
-                r.end,
-                r.seq
-            );
-        });
         let _ = write!(
             s,
-            "],\n  \"trace_spans_total\": {},\n  \"trace_spans\": [",
+            "}},\n  \"trace_spans_total\": {},\n  \"trace_spans\": [",
             self.trace_spans_total
         );
         join_map(&mut s, self.trace_spans.iter(), |s, r| {
@@ -1019,58 +914,15 @@ mod tests {
     }
 
     #[test]
-    fn span_ring_wraparound() {
-        let reg = Registry::with_span_capacity(3);
-        for i in 0..5u64 {
-            reg.set_now(i * 10);
-            let t = reg.span_enter("tick");
-            reg.set_now(i * 10 + 1);
-            reg.span_exit(t);
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.spans_total, 5);
-        assert_eq!(snap.spans.len(), 3);
-        // Oldest retained first: spans 2, 3, 4.
-        assert_eq!(
-            snap.spans.iter().map(|s| s.start).collect::<Vec<_>>(),
-            vec![20, 30, 40]
-        );
-        assert!(snap.spans.windows(2).all(|w| w[0].seq < w[1].seq));
-    }
-
-    #[test]
-    fn span_exit_behavior_unchanged_by_static_ring_names() {
-        // Satellite check: the ring stores `&'static str`; the snapshot
-        // still exposes owned names with identical content/ordering.
-        let reg = Registry::with_span_capacity(2);
-        reg.set_now(5);
-        let a = reg.span_enter("first");
-        reg.set_now(7);
-        reg.span_exit(a);
-        let b = reg.span_enter("second");
-        reg.set_now(9);
-        reg.span_exit(b);
-        let snap = reg.snapshot();
-        assert_eq!(snap.spans_total, 2);
-        assert_eq!(
-            snap.spans.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),
-            vec!["first", "second"]
-        );
-        assert_eq!(snap.spans[0].start, 5);
-        assert_eq!(snap.spans[0].end, 7);
-        assert_eq!(snap.spans[1].start, 7);
-        assert_eq!(snap.spans[1].end, 9);
-        assert!(snap.spans[0].seq < snap.spans[1].seq);
-    }
-
-    #[test]
     fn zero_capacity_ring_counts_but_retains_nothing() {
-        let reg = Registry::with_span_capacity(0);
-        let t = reg.span_enter("s");
-        reg.span_exit(t);
+        let reg = Registry::with_capacities(0, 0);
+        let n = reg.node_ref("n0");
+        let t = reg.trace_enter(reg.mint_trace(), SpanId::NONE, "request", n);
+        reg.trace_exit(t);
+        reg.flight(n, "send", "append_entries", None, 0, 0);
         let snap = reg.snapshot();
-        assert_eq!(snap.spans_total, 1);
-        assert!(snap.spans.is_empty());
+        assert_eq!((snap.trace_spans_total, snap.flight_total), (1, 1));
+        assert!(snap.trace_spans.is_empty() && snap.flight.is_empty());
     }
 
     #[test]
@@ -1091,8 +943,6 @@ mod tests {
             reg.gauge("z.depth").set(9);
             reg.histogram("lat", &[1, 2]).observe(3);
             reg.set_now(42);
-            let t = reg.span_enter("op");
-            reg.span_exit(t);
             let n = reg.node_ref("n0");
             let tr = reg.mint_trace();
             let tok = reg.trace_enter(tr, SpanId::NONE, "request", n);
@@ -1105,7 +955,6 @@ mod tests {
         assert_eq!(a, b);
         // Sorted key order regardless of registration order.
         assert!(a.find("a.first").unwrap() < a.find("b.second").unwrap());
-        assert!(a.contains("\"spans_total\": 1"));
         assert!(a.contains("\"trace_spans_total\": 1"));
         assert!(a.contains("\"flight_total\": 1"));
     }
@@ -1195,7 +1044,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_is_bounded_and_causally_ordered() {
-        let reg = Registry::with_capacities(8, 8, 3);
+        let reg = Registry::with_capacities(8, 3);
         let n0 = reg.node_ref("n0");
         let n1 = reg.node_ref("n1");
         for i in 0..5u64 {

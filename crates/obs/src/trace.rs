@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn orphan_spans_reattach_to_chronological_root() {
         // Trace ring of 2: the root span is evicted by later stages.
-        let reg = Registry::with_capacities(8, 2, 8);
+        let reg = Registry::with_capacities(2, 8);
         let n0 = reg.node_ref("n0");
         reg.set_now(1);
         let root = reg.trace_enter(TraceId(1), SpanId::NONE, "request", n0);
