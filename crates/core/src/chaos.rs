@@ -4,10 +4,11 @@
 //! safety invariants checked every step and receipts verified against
 //! the service identity.
 //!
-//! Reuses the checker and report types from
-//! [`ccf_consensus::invariants`] / [`ccf_consensus::chaos`]; the extra
-//! invariant here is paper §5.4: every receipt a node hands out for a
-//! committed transaction must verify against the service identity.
+//! Runs on the shared loop, checker and report of
+//! [`ccf_consensus::chaos`] / [`ccf_consensus::invariants`] as a
+//! [`ChaosTarget`]; the extra invariant here is paper §5.4: every
+//! receipt a node hands out for a committed transaction must verify
+//! against the service identity.
 
 use crate::app::{AppResult, Application, EndpointDef};
 use crate::service::{ServiceCluster, ServiceOpts};
@@ -51,14 +52,19 @@ fn chaos_app() -> Application {
         }))
 }
 
-/// Driver state that lives across fault applications.
+/// Nodes a service chaos run starts with. Nodes never leave the
+/// cluster's map, so the number joined so far is `nodes.len()` minus
+/// this.
+const SERVICE_NODES: usize = 3;
+
+/// The service-level [`ChaosTarget`]: the cluster plus the driver state
+/// that lives across fault applications.
 struct ServiceChaos {
     service: ServiceCluster,
     /// Accumulated consensus events per node (checker keeps cursors).
     events: BTreeMap<NodeId, Vec<Event>>,
     /// Successful write txids not yet receipt-verified.
     pending_receipts: Vec<TxId>,
-    joins: u64,
     gov_counter: u64,
 }
 
@@ -204,9 +210,9 @@ impl ChaosTarget for ServiceChaos {
                 if self.service.nodes.len() >= 7 || self.service.primary().is_none() {
                     return;
                 }
-                let id = format!("c{}", self.joins);
-                self.joins += 1;
-                let snapshot_from = if self.joins.is_multiple_of(2) {
+                let joins = self.service.nodes.len() - SERVICE_NODES;
+                let id = format!("c{joins}");
+                let snapshot_from = if (joins + 1).is_multiple_of(2) {
                     self.service.primary()
                 } else {
                     None
@@ -250,7 +256,7 @@ impl ChaosTarget for ServiceChaos {
 /// horizon)`.
 pub fn run_service_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -> ChaosReport {
     let mut service = ServiceCluster::start(
-        ServiceOpts { nodes: 3, members: 3, seed, ..ServiceOpts::default() },
+        ServiceOpts { nodes: SERVICE_NODES, members: 3, seed, ..ServiceOpts::default() },
         Arc::new(chaos_app()),
     );
     service.open_service();
@@ -259,7 +265,6 @@ pub fn run_service_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -> 
         service,
         events: BTreeMap::new(),
         pending_receipts: Vec::new(),
-        joins: 0,
         gov_counter: 0,
     };
     run_chaos(&mut chaos, seed, schedule, horizon)

@@ -304,7 +304,11 @@ impl<M: Eq + Clone> SimNet<M> {
     /// [`Input::Tick`] for each live node in `ids` order. Whatever a call
     /// returns is sent from the node it was made for. Crashed nodes get
     /// neither messages nor ticks.
-    pub fn step(&mut self, ids: &[NodeId], mut node: impl FnMut(&NodeId, Input<M>) -> Vec<(NodeId, M)>) {
+    pub fn step(
+        &mut self,
+        ids: &[NodeId],
+        mut node: impl FnMut(&NodeId, Input<M>) -> Vec<(NodeId, M)>,
+    ) {
         let now = self.now + 1;
         if let Some(reg) = &self.reg {
             reg.set_now(now);
