@@ -415,11 +415,6 @@ impl<F: SignatureFactory> Replica<F> {
         self.merkle.root()
     }
 
-    /// Inclusion proof for the entry at `seqno` against the current root.
-    pub fn merkle_proof(&self, seqno: Seqno) -> Option<ccf_ledger::MerkleProof> {
-        seqno.checked_sub(1).and_then(|i| self.merkle.prove(i))
-    }
-
     /// Inclusion proof for the entry at `seqno` against the tree as of
     /// `tree_size` leaves — i.e. against the root signed by the signature
     /// transaction at seqno `tree_size + 1` (receipts, §3.5).
@@ -1521,9 +1516,7 @@ impl<F: SignatureFactory> Replica<F> {
             return None;
         }
         let last = self.txid_at(self.commit_seqno)?;
-        let leaves = (0..self.commit_seqno)
-            .map(|i| self.merkle.leaf(i).copied())
-            .collect::<Option<Vec<_>>>()?;
+        let leaves = self.merkle.leaves().get(..self.commit_seqno as usize)?.to_vec();
         Some(Snapshot {
             last_txid: last,
             kv_state,

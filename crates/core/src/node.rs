@@ -23,7 +23,7 @@ use ccf_consensus::{NodeId, Seqno, Snapshot, TxStatus};
 use ccf_crypto::chacha::ChaChaRng;
 use ccf_crypto::sha2::sha256;
 use ccf_crypto::x25519::DhKeyPair;
-use ccf_crypto::{SigningKey, VerifyingKey};
+use ccf_crypto::{Signature, SigningKey, VerifyingKey};
 use ccf_governance::actions::{put_node_info, trusted_nodes, NodeInfo};
 use ccf_governance::engine::requests;
 use ccf_governance::recovery::write_recovery_material;
@@ -179,11 +179,34 @@ impl JoinRequest {
     }
 }
 
+/// The service identity key and the endorsements it has signed, one per
+/// (node id, node key). Ed25519 is deterministic, so an endorsement never
+/// changes while the key stays; a new key is a new `ServiceKey`, which
+/// starts with none.
+struct ServiceKey {
+    key: SigningKey,
+    endorsements: BTreeMap<(String, VerifyingKey), Signature>,
+}
+
+impl ServiceKey {
+    fn new(key: SigningKey) -> ServiceKey {
+        ServiceKey { key, endorsements: BTreeMap::new() }
+    }
+
+    /// The endorsement of `node_public` as `node_id`, signed on first use.
+    fn endorse(&mut self, node_id: &str, node_public: &VerifyingKey) -> Signature {
+        let key = &self.key;
+        *self
+            .endorsements
+            .entry((node_id.to_string(), node_public.clone()))
+            .or_insert_with(|| key.sign(&endorsement_bytes(node_id, node_public)))
+    }
+}
+
 struct NodeInner {
     replica: Replica<KeyedSignatureFactory>,
     secrets: Option<LedgerSecrets>,
-    service_identity: Option<VerifyingKey>,
-    service_key: Option<SigningKey>,
+    service_key: Option<ServiceKey>,
     /// Every appended entry not yet below the commit point, by seqno:
     /// the rollback points, and the write sets the indexer is fed at
     /// commit. Pruned at commit, truncated at rollback.
@@ -283,7 +306,6 @@ impl CcfNode {
             inner: Mutex::new(NodeInner {
                 replica,
                 secrets: None,
-                service_identity: None,
                 service_key: None,
                 recent_states: BTreeMap::new(),
                 proposed: None,
@@ -345,7 +367,6 @@ impl CcfNode {
             inner: Mutex::new(NodeInner {
                 replica,
                 secrets: None,
-                service_identity: None,
                 service_key: None,
                 recent_states: BTreeMap::new(),
                 proposed: None,
@@ -419,15 +440,13 @@ impl CcfNode {
 
     /// The service identity, once known.
     pub fn service_identity(&self) -> Option<VerifyingKey> {
-        self.inner.lock().service_identity.clone()
+        Some(self.inner.lock().service_key.as_ref()?.key.verifying_key())
     }
 
     /// Installs the service secrets (join handshake, after attestation).
     pub fn install_secrets(&self, secrets: &ServiceSecrets) {
         let mut inner = self.inner.lock();
-        let service_key = SigningKey::from_seed(secrets.service_key_seed);
-        inner.service_identity = Some(service_key.verifying_key());
-        inner.service_key = Some(service_key);
+        inner.service_key = Some(ServiceKey::new(SigningKey::from_seed(secrets.service_key_seed)));
         let mut ledger_secrets = LedgerSecrets::deserialize(&secrets.ledger_secrets)
             .expect("valid serialized ledger secrets");
         ledger_secrets.set_registry(&self.metrics.reg);
@@ -439,7 +458,7 @@ impl CcfNode {
     pub fn export_secrets(&self) -> Option<ServiceSecrets> {
         let inner = self.inner.lock();
         Some(ServiceSecrets {
-            service_key_seed: inner.service_key.as_ref()?.seed(),
+            service_key_seed: inner.service_key.as_ref()?.key.seed(),
             ledger_secrets: inner.secrets.as_ref()?.serialize(),
         })
     }
@@ -466,8 +485,7 @@ impl CcfNode {
         let initial_secret = inner.rng.gen_seed();
         let mut secrets = LedgerSecrets::new(initial_secret);
         secrets.set_registry(&self.metrics.reg);
-        inner.service_identity = Some(service_key.verifying_key());
-        inner.service_key = Some(service_key.clone());
+        inner.service_key = Some(ServiceKey::new(service_key.clone()));
         inner.secrets = Some(secrets.clone());
 
         let mut tx = self.store.begin();
@@ -1477,7 +1495,8 @@ impl CcfNode {
     /// Builds a verifiable receipt for a committed transaction, if this
     /// node retains the entry and a covering signature transaction.
     pub fn receipt(&self, txid: TxId) -> Option<Receipt> {
-        let inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         if inner.replica.tx_status(txid) != TxStatus::Committed {
             return None;
         }
@@ -1503,9 +1522,8 @@ impl CcfNode {
         }
         let (sig_txid, payload) = sig?;
         let proof = inner.replica.merkle_proof_at(txid.seqno, sig_txid.seqno - 1)?;
-        let service_key = inner.service_key.as_ref()?;
         let endorsement =
-            service_key.sign(&endorsement_bytes(&payload.node_id, &payload.node_public));
+            inner.service_key.as_mut()?.endorse(&payload.node_id, &payload.node_public);
         // Receipt issuance is the last stage of a traced request's life.
         if let Some(trace) = inner.trace_by_seqno.get(&txid.seqno).copied() {
             self.metrics.reg.trace_mark(

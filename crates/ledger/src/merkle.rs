@@ -6,11 +6,11 @@
 //! domain-separated from interior nodes (0x00 / 0x01 prefixes) so a leaf
 //! can never be confused with a node.
 //!
-//! The root is maintained incrementally via a stack of perfect-subtree
-//! "peaks", so appends are O(1) amortized and the root — needed every
-//! signature interval — is O(log n). Inclusion proofs are generated from
-//! the retained leaf digests. Consensus can roll back uncommitted suffixes
-//! after a view change, so the tree supports truncation.
+//! The tree keeps the root of every complete perfect subtree, level by
+//! level, as it seals. Appends are O(1) amortized, and the root, any
+//! historical root and any inclusion proof are O(log n): each is a fold of
+//! a few retained subtree roots. Consensus can roll back uncommitted
+//! suffixes after a view change; truncation cuts each level, in O(log n).
 
 use std::cell::Cell;
 
@@ -85,6 +85,15 @@ impl MerkleProof {
         self.compute_root(leaf_digest) == *root
     }
 
+    /// True iff the path has the length and the sides of the RFC 6962 path
+    /// for `leaf_index` in a tree of `tree_size` leaves.
+    pub fn has_rfc6962_shape(&self) -> bool {
+        let shape = split_path(self.leaf_index, self.tree_size);
+        self.leaf_index < self.tree_size
+            && shape.len() == self.path.len()
+            && shape.iter().zip(&self.path).all(|(s, step)| s.0 == step.sibling_on_left)
+    }
+
     /// Serializes the proof.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ccf_kv::codec::Writer::new();
@@ -117,14 +126,6 @@ impl MerkleProof {
     }
 }
 
-/// A perfect subtree maintained in the peak stack.
-#[derive(Clone, Debug)]
-struct Peak {
-    /// log2 of the subtree's leaf count.
-    height: u32,
-    root: Digest32,
-}
-
 /// Cached observability handles (`ledger.merkle_*`). Clones share the
 /// underlying counters, so a cloned tree (snapshots, rollback probes)
 /// keeps reporting into the same registry.
@@ -149,19 +150,20 @@ impl MerkleMetrics {
 
 /// The incremental Merkle tree.
 ///
-/// The root is cached between appends: folding the peak stack costs
-/// O(log n) hashes, and the node asks for the root far more often than the
-/// tree changes (every signature interval, every receipt, every status
-/// probe). Invariant: `cached_root` is only ever `Some(r)` when `r` equals
-/// the fold of the current peak stack; every mutation (append, truncate)
-/// clears it before touching the peaks, so a stale value can never be
-/// observed. `Cell` keeps `root(&self)` a shared-reference call; the tree
-/// is only ever used behind a `Mutex` (or single-threaded), so the lost
-/// `Sync` does not matter.
+/// `levels[k][i]` is the root of the perfect subtree over leaves
+/// `[i·2^k, (i+1)·2^k)`: `levels[0]` holds the leaves and `levels[k]` has
+/// `len() >> k` entries. Complete subtrees never change.
+///
+/// The root is cached between appends: the node asks for it far more
+/// often than the tree changes. Invariant: `cached_root` is only ever
+/// `Some(r)` when `r` is the root over all current leaves; every mutation
+/// clears it first, so a stale value can never be observed. `Cell` keeps
+/// `root(&self)` a shared-reference call; the tree is only ever used
+/// behind a `Mutex` (or single-threaded), so the lost `Sync` does not
+/// matter.
 #[derive(Clone, Debug, Default)]
 pub struct MerkleTree {
-    leaves: Vec<Digest32>,
-    peaks: Vec<Peak>,
+    levels: Vec<Vec<Digest32>>,
     cached_root: Cell<Option<Digest32>>,
     metrics: Option<MerkleMetrics>,
 }
@@ -180,12 +182,17 @@ impl MerkleTree {
 
     /// Number of leaves.
     pub fn len(&self) -> u64 {
-        self.leaves.len() as u64
+        self.leaves().len() as u64
     }
 
     /// True iff there are no leaves.
     pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
+        self.levels.is_empty()
+    }
+
+    /// The leaf digests, in order.
+    pub fn leaves(&self) -> &[Digest32] {
+        self.levels.first().map_or(&[], Vec::as_slice)
     }
 
     /// Appends a leaf (raw bytes; hashed with the leaf prefix).
@@ -195,17 +202,12 @@ impl MerkleTree {
 
     /// Appends a precomputed leaf digest.
     pub fn append_digest(&mut self, digest: Digest32) {
-        if let Some(m) = &self.metrics {
-            m.appends.inc();
-        }
-        self.cached_root.set(None);
-        self.leaves.push(digest);
-        self.merge_peak(digest);
+        self.append_digests([digest]);
     }
 
     /// Appends many leaves (raw bytes) in one call. One cache invalidation
-    /// and one capacity reservation for the whole batch; the per-leaf work
-    /// is just the leaf hash plus the amortized-O(1) peak merge.
+    /// for the whole batch; the per-leaf work is just the leaf hash plus
+    /// the amortized-O(1) sealing of completed subtrees.
     pub fn append_batch<'a, I>(&mut self, leaves: I)
     where
         I: IntoIterator<Item = &'a [u8]>,
@@ -213,49 +215,42 @@ impl MerkleTree {
         self.append_digests(leaves.into_iter().map(leaf_hash));
     }
 
-    /// Appends many precomputed leaf digests in one call.
+    /// Appends many precomputed leaf digests in one call. Each leaf that
+    /// completes a pair at a level hashes the pair into the level above,
+    /// as far up as pairs complete.
     pub fn append_digests<I>(&mut self, digests: I)
     where
         I: IntoIterator<Item = Digest32>,
     {
         self.cached_root.set(None);
-        let digests = digests.into_iter();
-        let (lower, _) = digests.size_hint();
-        self.leaves.reserve(lower);
-        let before = self.leaves.len();
+        let before = self.len();
         for digest in digests {
-            self.leaves.push(digest);
-            self.merge_peak(digest);
-        }
-        if let Some(m) = &self.metrics {
-            m.appends.add((self.leaves.len() - before) as u64);
-        }
-    }
-
-    /// Pushes a height-0 peak and merges equal-height neighbours, keeping
-    /// the stack strictly decreasing in height (amortized O(1) per leaf).
-    fn merge_peak(&mut self, digest: Digest32) {
-        let mut peak = Peak { height: 0, root: digest };
-        while let Some(top) = self.peaks.last() {
-            if top.height == peak.height {
-                let left = self.peaks.pop().unwrap();
-                peak = Peak { height: peak.height + 1, root: node_hash(&left.root, &peak.root) };
-            } else {
-                break;
+            let mut node = digest;
+            for k in 0.. {
+                if k == self.levels.len() {
+                    self.levels.push(Vec::new());
+                }
+                let level = &mut self.levels[k];
+                level.push(node);
+                let n = level.len();
+                if n % 2 == 1 {
+                    break;
+                }
+                node = node_hash(&level[n - 2], &level[n - 1]);
             }
         }
-        self.peaks.push(peak);
+        if let Some(m) = &self.metrics {
+            m.appends.add(self.len() - before);
+        }
     }
 
     /// The leaf digest at `index`.
     pub fn leaf(&self, index: u64) -> Option<&Digest32> {
-        self.leaves.get(index as usize)
+        self.leaves().get(index as usize)
     }
 
-    /// The current root. Peaks are folded right-to-left, which reproduces
-    /// the RFC 6962 root for any tree size. The fold is cached until the
-    /// next mutation, so repeated reads within a signature interval are
-    /// free.
+    /// The current root. The fold is cached until the next mutation, so
+    /// repeated reads within a signature interval are free.
     pub fn root(&self) -> Digest32 {
         if let Some(root) = self.cached_root.get() {
             if let Some(m) = &self.metrics {
@@ -266,41 +261,27 @@ impl MerkleTree {
         if let Some(m) = &self.metrics {
             m.root_cache_misses.inc();
         }
-        let root = match self.peaks.len() {
-            0 => empty_root(),
-            _ => {
-                let mut iter = self.peaks.iter().rev();
-                let mut acc = iter.next().unwrap().root;
-                for peak in iter {
-                    acc = node_hash(&peak.root, &acc);
-                }
-                acc
-            }
-        };
+        let root = self.range_root(0, self.len());
         self.cached_root.set(Some(root));
         root
     }
 
-    /// Removes all leaves at index >= `new_len` (consensus rollback).
+    /// Removes all leaves at index >= `new_len` (consensus rollback). Each
+    /// level keeps the complete subtrees below `new_len`.
     pub fn truncate(&mut self, new_len: u64) {
         assert!(new_len <= self.len(), "cannot truncate to a larger size");
         if let Some(m) = &self.metrics {
             m.truncations.inc();
         }
         self.cached_root.set(None);
-        self.leaves.truncate(new_len as usize);
-        // Rebuild the peak stack from the retained leaves. Rollbacks are
-        // rare (view changes), so O(n) is acceptable.
-        self.peaks.clear();
-        let leaves = std::mem::take(&mut self.leaves);
-        for digest in &leaves {
-            self.merge_peak(*digest);
+        for (k, level) in self.levels.iter_mut().enumerate() {
+            level.truncate((new_len >> k) as usize);
         }
-        self.leaves = leaves;
+        self.levels.retain(|level| !level.is_empty());
     }
 
     /// Generates an inclusion proof for `leaf_index` against the current
-    /// tree. O(n) time, O(log n) proof size.
+    /// tree. O(log n).
     pub fn prove(&self, leaf_index: u64) -> Option<MerkleProof> {
         self.prove_at_size(leaf_index, self.len())
     }
@@ -312,69 +293,41 @@ impl MerkleTree {
         if leaf_index >= size || size > self.len() {
             return None;
         }
-        let mut path = Vec::new();
-        Self::prove_range(&self.leaves[..size as usize], leaf_index as usize, &mut path);
+        let path = split_path(leaf_index, size)
+            .into_iter()
+            .map(|(sibling_on_left, lo, hi)| ProofStep {
+                sibling_on_left,
+                sibling: self.range_root(lo, hi),
+            })
+            .collect();
         Some(MerkleProof { leaf_index, tree_size: size, path })
     }
 
     /// The root of the prefix of the first `size` leaves (the root a
     /// signature transaction at seqno `size + 1` signed).
     pub fn root_at_size(&self, size: u64) -> Option<Digest32> {
-        if size > self.len() {
-            return None;
-        }
-        Some(Self::subtree_root(&self.leaves[..size as usize]))
+        (size <= self.len()).then(|| self.range_root(0, size))
     }
 
-    /// RFC 6962 recursive proof: subtree over `leaves`, target at `index`
-    /// within it. Appends the path bottom-up.
-    fn prove_range(leaves: &[Digest32], index: usize, path: &mut Vec<ProofStep>) {
-        if leaves.len() <= 1 {
-            return;
+    /// The RFC 6962 root over leaves `[lo, hi)`, where `lo` is a multiple
+    /// of a power of two >= `hi - lo`, as every prefix and every range of
+    /// the RFC 6962 split is. The range is one perfect subtree per set bit
+    /// `k` of its width, `levels[k][(hi >> k) - 1]`, folded right to left.
+    fn range_root(&self, lo: u64, hi: u64) -> Digest32 {
+        let mut bits = hi - lo;
+        let mut acc: Option<Digest32> = None;
+        while bits != 0 {
+            let k = bits.trailing_zeros();
+            bits &= bits - 1;
+            let piece = &self.levels[k as usize][(hi >> k) as usize - 1];
+            acc = Some(acc.map_or(*piece, |right| node_hash(piece, &right)));
         }
-        let split = if leaves.len().is_power_of_two() {
-            leaves.len() / 2
-        } else {
-            largest_power_of_two_below(leaves.len())
-        };
-        if index < split {
-            Self::prove_range(&leaves[..split], index, path);
-            path.push(ProofStep {
-                sibling_on_left: false,
-                sibling: Self::subtree_root(&leaves[split..]),
-            });
-        } else {
-            Self::prove_range(&leaves[split..], index - split, path);
-            path.push(ProofStep {
-                sibling_on_left: true,
-                sibling: Self::subtree_root(&leaves[..split]),
-            });
-        }
+        acc.unwrap_or_else(empty_root)
     }
 
-    /// Root of an arbitrary leaf range (RFC 6962 recursion).
-    fn subtree_root(leaves: &[Digest32]) -> Digest32 {
-        match leaves.len() {
-            0 => empty_root(),
-            1 => leaves[0],
-            n => {
-                let split = if n.is_power_of_two() {
-                    n / 2
-                } else {
-                    largest_power_of_two_below(n)
-                };
-                node_hash(
-                    &Self::subtree_root(&leaves[..split]),
-                    &Self::subtree_root(&leaves[split..]),
-                )
-            }
-        }
-    }
-
-    /// Recomputes the root the slow recursive way (test oracle for the
-    /// incremental peak computation).
+    /// Recomputes the root the slow recursive way (test oracle).
     pub fn root_recursive(&self) -> Digest32 {
-        Self::subtree_root(&self.leaves)
+        reference::subtree_root(self.leaves())
     }
 
     /// Hashes a raw leaf the way [`MerkleTree::append`] does, for callers
@@ -384,13 +337,59 @@ impl MerkleTree {
     }
 }
 
-fn largest_power_of_two_below(n: usize) -> usize {
-    debug_assert!(n >= 2);
-    let p = n.next_power_of_two();
-    if p == n {
-        n / 2
-    } else {
-        p / 2
+/// The RFC 6962 path for `index` in a tree of `size` leaves, leaf first:
+/// each sibling's side and its leaf range `[lo, hi)`.
+fn split_path(index: u64, size: u64) -> Vec<(bool, u64, u64)> {
+    let (mut lo, mut hi) = (0, size);
+    let mut steps = Vec::new();
+    while hi - lo > 1 {
+        // The largest power of two strictly below the width; no overflow
+        // for any width, since the size may come from a received proof.
+        let split = lo + (1 << (63 - (hi - lo - 1).leading_zeros()));
+        if index < split {
+            steps.push((false, split, hi));
+            hi = split;
+        } else {
+            steps.push((true, lo, split));
+            lo = split;
+        }
+    }
+    steps.reverse();
+    steps
+}
+
+/// The seed's recursive construction over the leaf digests, frozen as the
+/// oracle for the level store: the equivalence tests and `bench_receipts`
+/// check that roots and proofs at every size match it. O(n) per call.
+pub mod reference {
+    use super::*;
+
+    /// The RFC 6962 root of `leaves`.
+    pub fn subtree_root(leaves: &[Digest32]) -> Digest32 {
+        match leaves.len() {
+            0 => empty_root(),
+            1 => leaves[0],
+            n => {
+                let split = n.next_power_of_two() / 2;
+                node_hash(&subtree_root(&leaves[..split]), &subtree_root(&leaves[split..]))
+            }
+        }
+    }
+
+    /// RFC 6962 recursive proof: subtree over `leaves`, target at `index`
+    /// within it. Appends the path bottom-up.
+    pub fn prove_range(leaves: &[Digest32], index: usize, path: &mut Vec<ProofStep>) {
+        if leaves.len() <= 1 {
+            return;
+        }
+        let split = leaves.len().next_power_of_two() / 2;
+        if index < split {
+            prove_range(&leaves[..split], index, path);
+            path.push(ProofStep { sibling_on_left: false, sibling: subtree_root(&leaves[split..]) });
+        } else {
+            prove_range(&leaves[split..], index - split, path);
+            path.push(ProofStep { sibling_on_left: true, sibling: subtree_root(&leaves[..split]) });
+        }
     }
 }
 
@@ -428,6 +427,84 @@ mod tests {
                 // Wrong leaf fails.
                 assert!(!proof.verify(b"other", &root));
             }
+        }
+    }
+
+    /// The oracle's proof of leaf `index` in the first `size` leaves.
+    fn oracle_proof(tree: &MerkleTree, index: u64, size: u64) -> Vec<ProofStep> {
+        let mut path = Vec::new();
+        reference::prove_range(&tree.leaves()[..size as usize], index as usize, &mut path);
+        path
+    }
+
+    #[test]
+    fn roots_and_proofs_match_the_recursive_oracle_at_every_size() {
+        let mut tree = MerkleTree::new();
+        for leaf in leaves(100) {
+            tree.append(&leaf);
+        }
+        for size in 0..=100u64 {
+            let oracle_root = reference::subtree_root(&tree.leaves()[..size as usize]);
+            assert_eq!(tree.root_at_size(size), Some(oracle_root), "size {size}");
+            for i in 0..size {
+                let proof = tree.prove_at_size(i, size).unwrap();
+                assert_eq!(proof.path, oracle_proof(&tree, i, size), "i={i} size={size}");
+                assert!(proof.has_rfc6962_shape(), "i={i} size={size}");
+            }
+        }
+        assert_eq!(tree.root_at_size(101), None);
+    }
+
+    #[test]
+    fn truncate_keeps_every_historical_root_and_proof() {
+        let mut tree = MerkleTree::new();
+        for leaf in leaves(70) {
+            tree.append(&leaf);
+        }
+        for cut in [0u64, 1, 31, 32, 33, 64, 69] {
+            let mut t = tree.clone();
+            t.truncate(cut);
+            assert_eq!(t.leaves(), &tree.leaves()[..cut as usize]);
+            for size in 0..=cut {
+                assert_eq!(t.root_at_size(size), tree.root_at_size(size), "cut {cut} size {size}");
+                for i in 0..size {
+                    assert_eq!(t.prove_at_size(i, size), tree.prove_at_size(i, size));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shape_check_rejects_wrong_length_side_or_position() {
+        let mut tree = MerkleTree::new();
+        for leaf in leaves(10) {
+            tree.append(&leaf);
+        }
+        let proof = tree.prove(4).unwrap();
+        assert!(proof.has_rfc6962_shape());
+        let mut p = proof.clone();
+        p.path[1].sibling_on_left = !p.path[1].sibling_on_left;
+        assert!(!p.has_rfc6962_shape());
+        let mut p = proof.clone();
+        p.path.pop();
+        assert!(!p.has_rfc6962_shape());
+        let mut p = proof.clone();
+        p.path.push(proof.path[0].clone());
+        assert!(!p.has_rfc6962_shape());
+        let mut p = proof.clone();
+        p.leaf_index = 10;
+        assert!(!p.has_rfc6962_shape());
+        // Leaf 4 of 10 and leaf 4 of 6 have paths of different lengths.
+        let mut p = proof.clone();
+        p.tree_size = 6;
+        assert!(!p.has_rfc6962_shape());
+        // The largest sizes a received proof can claim are walked in at most
+        // 64 steps.
+        for size in [u64::MAX - 1, u64::MAX] {
+            let mut p = proof.clone();
+            p.tree_size = size;
+            assert!(!p.has_rfc6962_shape());
+            assert!(split_path(size - 1, size).len() <= 64);
         }
     }
 

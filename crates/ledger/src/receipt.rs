@@ -80,10 +80,19 @@ pub struct Receipt {
 impl Receipt {
     /// Verifies the receipt against a trusted service identity.
     ///
-    /// Checks, in order: the endorsement chain (service → node key), the
-    /// node's signature over the root, and the Merkle path from this
-    /// transaction's leaf to that root.
+    /// Checks, in order: that the proof is the RFC 6962 path for this
+    /// transaction's position (leaf `txid.seqno - 1`) under the signed
+    /// root (over the `signature_txid.seqno - 1` entries before it), the
+    /// endorsement chain (service → node key), the node's signature over
+    /// the root, and the Merkle path from this transaction's leaf to that
+    /// root.
     pub fn verify(&self, service_identity: &VerifyingKey) -> Result<(), ReceiptError> {
+        if self.txid.seqno.checked_sub(1) != Some(self.proof.leaf_index)
+            || self.signature_txid.seqno.checked_sub(1) != Some(self.proof.tree_size)
+            || !self.proof.has_rfc6962_shape()
+        {
+            return Err(ReceiptError::Malformed);
+        }
         service_identity
             .verify(
                 &endorsement_bytes(&self.node_id, &self.node_public),
@@ -250,15 +259,47 @@ mod tests {
         let mut r = receipt.clone();
         r.root[0] ^= 1;
         assert_eq!(r.verify(&service), Err(ReceiptError::BadNodeSignature));
+        // Claiming another position contradicts the proof's leaf index.
         let mut r = receipt.clone();
         r.txid = TxId::new(1, 4);
-        assert_eq!(r.verify(&service), Err(ReceiptError::PathMismatch));
+        assert_eq!(r.verify(&service), Err(ReceiptError::Malformed));
         let mut r = receipt.clone();
         r.node_signature.0[0] ^= 1;
         assert_eq!(r.verify(&service), Err(ReceiptError::BadNodeSignature));
         let mut r = receipt.clone();
         r.node_id = "evil".into();
         assert_eq!(r.verify(&service), Err(ReceiptError::BadEndorsement));
+    }
+
+    #[test]
+    fn receipt_rejects_a_proof_for_another_position_or_tree_size() {
+        let (receipt, service) = build_receipt(3);
+        // These three still reach the signed root: computing the root from
+        // the path never looks at the index or the size.
+        let mut r = receipt.clone();
+        r.proof.leaf_index = 3;
+        assert_eq!(r.verify(&service), Err(ReceiptError::Malformed));
+        let mut r = receipt.clone();
+        r.proof.tree_size = 11;
+        assert_eq!(r.verify(&service), Err(ReceiptError::Malformed));
+        let mut r = receipt.clone();
+        r.proof.tree_size = 9;
+        assert_eq!(r.verify(&service), Err(ReceiptError::Malformed));
+        // A side flipped or a step added or dropped changes the shape.
+        let mut r = receipt.clone();
+        r.proof.path[0].sibling_on_left = !r.proof.path[0].sibling_on_left;
+        assert_eq!(r.verify(&service), Err(ReceiptError::Malformed));
+        let mut r = receipt.clone();
+        r.proof.path.pop();
+        assert_eq!(r.verify(&service), Err(ReceiptError::Malformed));
+        let mut r = receipt.clone();
+        r.proof.path.push(receipt.proof.path[0].clone());
+        assert_eq!(r.verify(&service), Err(ReceiptError::Malformed));
+        // The first and the last leaf pass the check too.
+        for target in [1u64, 10] {
+            let (r, service) = build_receipt(target);
+            assert_eq!(r.verify(&service), Ok(()));
+        }
     }
 
     #[test]

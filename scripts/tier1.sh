@@ -31,6 +31,9 @@ rm -f OBS_chaos.first.json
 echo "== tier1: symmetric fast-path smoke (fast == reference, emits JSON)"
 cargo run -q --release -p ccf-bench --bin bench_symmetric -- --smoke
 
+echo "== tier1: receipt proof smoke (level store == recursive oracle, emits JSON)"
+cargo run -q --release -p ccf-bench --bin bench_receipts -- --smoke
+
 echo "== tier1: trace determinism (two same-seed bench_latency runs, byte-identical)"
 cargo run -q --release -p ccf-bench --bin bench_latency -- --smoke > /dev/null
 cp OBS_latency.json OBS_latency.first.json

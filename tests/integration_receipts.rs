@@ -156,3 +156,30 @@ fn receipts_survive_primary_failover() {
     let receipt = service.receipt(txid).expect("receipt after failover");
     receipt.verify(&identity).unwrap();
 }
+
+#[test]
+fn endorsements_are_signed_once_per_key_and_dropped_with_it() {
+    let (mut service, identity) = start();
+    let resp = service.user_request(0, "POST", "/log", b"11=endorsed once");
+    let txid = resp.txid.unwrap();
+    service.run_until_committed(txid);
+    service.run_for(200);
+    let primary = service.primary().unwrap();
+    let node = service.nodes[&primary].clone();
+    // The second receipt reuses the endorsement; it is the same bytes.
+    let first = node.receipt(txid).unwrap();
+    let second = node.receipt(txid).unwrap();
+    assert_eq!(first, second);
+    assert_eq!(first.encode(), second.encode());
+    first.verify(&identity).unwrap();
+    // A new service key on this node: the next receipt is endorsed by it,
+    // not by the key the memo was filled under.
+    let mut secrets = node.export_secrets().unwrap();
+    secrets.service_key_seed = [42u8; 32];
+    node.install_secrets(&secrets);
+    let new_identity = node.service_identity().unwrap();
+    assert_ne!(new_identity, identity);
+    let fresh = node.receipt(txid).unwrap();
+    fresh.verify(&new_identity).unwrap();
+    assert_eq!(fresh.verify(&identity), Err(ccf_ledger::receipt::ReceiptError::BadEndorsement));
+}
