@@ -8,7 +8,7 @@ use ccf_consensus::replica::ReplicaConfig;
 use ccf_crypto::chacha::ChaChaRng;
 use ccf_crypto::gcm::AesGcm256;
 use ccf_crypto::SigningKey;
-use ccf_kv::{ChampMap, MapName, Store};
+use ccf_kv::{ChampMap, MapName, Store, WriteSet};
 use ccf_ledger::secrets::LedgerSecrets;
 use ccf_ledger::{MerkleTree, TxId};
 use ccf_sim::NetConfig;
@@ -153,6 +153,53 @@ fn bench_store(c: &mut Criterion) {
     g.bench_function("read_tx_snapshot", |b| {
         b.iter(|| {
             let mut tx = store.begin();
+            black_box(tx.get(&map, &42u64.to_le_bytes()))
+        })
+    });
+    // One ledger entry's apply (the per-entry step on every node): a
+    // one-key write set into a map of 1 k or 100 k keys, beside 20 other
+    // maps as a running service holds (governance, internal, app).
+    for keys in [1_000u64, 100_000] {
+        let store = Store::new();
+        let mut prefill = WriteSet::new();
+        for m in 0..20 {
+            let name = MapName::new(format!("public:ccf.gov.map{m:02}"));
+            for k in 0..4u8 {
+                prefill.write(name.clone(), vec![k], b"small governance value".to_vec());
+            }
+        }
+        for i in 0..keys {
+            prefill.write(map.clone(), i.to_le_bytes().to_vec(), b"twenty.characters.xx".to_vec());
+        }
+        store.apply_at(&prefill, 1);
+        let label = if keys == 1_000 { "1k" } else { "100k" };
+        g.bench_function(&format!("apply_at_{label}_keys_21_maps"), |b| {
+            let mut version = 1u64;
+            b.iter(|| {
+                version += 1;
+                let mut ws = WriteSet::new();
+                ws.write(
+                    map.clone(),
+                    (version % keys).to_le_bytes().to_vec(),
+                    b"twenty.characters.xx".to_vec(),
+                );
+                store.apply_at(black_box(&ws), version)
+            })
+        });
+    }
+    // A request's typical reads: three keys from three maps of one
+    // snapshot (service status, caller, application key).
+    let gov = MapName::new("public:ccf.gov.service.info");
+    let users = MapName::new("public:ccf.gov.users.certs");
+    let mut tx = store.begin();
+    tx.put(&gov, b"status", b"Open");
+    tx.put(&users, b"user0", b"cert-user0");
+    store.commit(tx, true).unwrap();
+    g.bench_function("tx_get_3_keys", |b| {
+        b.iter(|| {
+            let mut tx = store.begin();
+            black_box(tx.get(&gov, b"status"));
+            black_box(tx.get(&users, b"user0"));
             black_box(tx.get(&map, &42u64.to_le_bytes()))
         })
     });

@@ -225,6 +225,14 @@ struct NodeInner {
     handled_rekey: Option<Vec<u8>>,
     /// Monotonic count of primary changes (terminates forwarded sessions).
     view_epoch: u64,
+    /// Set when a committed entry wrote `nodes.info` or the ledger-secret
+    /// map: the primary's post-commit scans (retirements, rekey) may act.
+    /// Set at commit, never at append, so an entry that has not committed
+    /// cannot clear it early.
+    governance_scan_due: bool,
+    /// `view_epoch` at the primary's last post-commit scan: a node that
+    /// became primary since scans once even without a new write.
+    governance_scan_epoch: Option<u64>,
     /// Signed user requests queued for the next tick; drained as one
     /// batch so their signatures verify together.
     signed_request_queue: Vec<(u64, SignedRequest)>,
@@ -319,6 +327,8 @@ impl CcfNode {
                 retired: false,
                 handled_rekey: None,
                 view_epoch: 0,
+                governance_scan_due: false,
+                governance_scan_epoch: None,
                 signed_request_queue: Vec::new(),
                 signed_request_responses: BTreeMap::new(),
                 next_signed_ticket: 0,
@@ -380,6 +390,8 @@ impl CcfNode {
                 retired: false,
                 handled_rekey: None,
                 view_epoch: 0,
+                governance_scan_due: false,
+                governance_scan_epoch: None,
                 signed_request_queue: Vec::new(),
                 signed_request_responses: BTreeMap::new(),
                 next_signed_ticket: 0,
@@ -557,7 +569,7 @@ impl CcfNode {
             // Surface conflicts as a retryable error at the caller.
             ProposeError::NotPrimary(None)
         })?;
-        self.propose_write_set(inner, tx.write_set().clone(), None, ccf_obs::TraceId::NONE)
+        self.propose_write_set(inner, tx.into_write_set(), None, ccf_obs::TraceId::NONE)
     }
 
     /// Proposes a prepared write set with optional claims. A non-NONE
@@ -575,7 +587,8 @@ impl CcfNode {
         // trusted nodes is a reconfiguration transaction (§4.4).
         let new_config = self.config_change(&ws);
         let (mut public_ws, private_ws) = ws.split_visibility();
-        let secrets = inner.secrets.clone();
+        // Borrowed beside `inner.replica`: disjoint fields of `inner`.
+        let secrets = &inner.secrets;
         let claims_digest = claims.map(|c| sha256(&c)).unwrap_or([0u8; 32]);
         let kind = if new_config.is_some() {
             EntryKind::Reconfiguration
@@ -654,7 +667,7 @@ impl CcfNode {
     pub fn propose_internal(&self, tx: Transaction) -> Result<TxId, String> {
         let mut inner = self.inner.lock();
         self.store.validate(&tx).map_err(|e| e.to_string())?;
-        let ws = tx.write_set().clone();
+        let ws = tx.into_write_set();
         self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE).map_err(|e| e.to_string())
     }
 
@@ -806,6 +819,9 @@ impl CcfNode {
             .take_while(|(s, _)| **s <= seqno)
         {
             inner.indexer.feed(applied.txid, &applied.writes);
+            inner.governance_scan_due |= [builtin::NODES_INFO, builtin::LEDGER_SECRET]
+                .iter()
+                .any(|name| applied.writes.maps.contains_key(*name));
         }
         // Prune rollback snapshots: only seqnos >= commit can roll back.
         inner.recent_states = inner.recent_states.split_off(&seqno);
@@ -823,8 +839,13 @@ impl CcfNode {
                 }
             }
         }
-        // Primary post-commit duties.
-        if inner.replica.is_primary() {
+        // Primary post-commit duties, only when a scan can act.
+        if inner.replica.is_primary()
+            && (inner.governance_scan_due
+                || inner.governance_scan_epoch != Some(inner.view_epoch))
+        {
+            inner.governance_scan_due = false;
+            inner.governance_scan_epoch = Some(inner.view_epoch);
             self.complete_retirements(inner);
             self.process_rekey_request(inner);
         }
@@ -858,7 +879,7 @@ impl CcfNode {
             info.status = NodeStatus::Retired;
             put_node_info(&mut tx, &id, &info);
         }
-        let ws = tx.write_set().clone();
+        let ws = tx.into_write_set();
         let _ = self.propose_write_set(inner, ws, None, ccf_obs::TraceId::NONE);
     }
 
@@ -928,7 +949,7 @@ impl CcfNode {
             threshold.min(members.len().max(1)),
             &mut inner.rng,
         );
-        let ws = tx.write_set().clone();
+        let ws = tx.into_write_set();
         let _ = self.propose_write_set(inner, ws, None, ccf_obs::TraceId::NONE);
     }
 
@@ -1175,7 +1196,7 @@ impl CcfNode {
                 enc_key: ccf_crypto::hex::to_hex(&req.enc_public),
             },
         );
-        let ws = tx.write_set().clone();
+        let ws = tx.into_write_set();
         self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE)
             .map_err(|e| format!("join propose: {e}"))?;
         // 5. Share the service secrets with the verified enclave.
@@ -1322,7 +1343,7 @@ impl CcfNode {
                         }
                         return Response::error(409, "transaction conflict");
                     }
-                    let ws = tx.write_set().clone();
+                    let ws = tx.into_write_set();
                     // Trace ids are minted only once the request reaches
                     // its primary with a validated write set, so ids stay
                     // dense and deterministic across forwarding. The root
@@ -1479,7 +1500,7 @@ impl CcfNode {
                 if self.store.validate(&tx).is_err() {
                     return Response::error(409, "governance transaction conflict");
                 }
-                let ws = tx.write_set().clone();
+                let ws = tx.into_write_set();
                 match self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE) {
                     Ok(txid) => Response { status: 200, body: body.into_bytes(), txid: Some(txid) },
                     Err(e) => Response::error(503, &format!("propose failed: {e}")),

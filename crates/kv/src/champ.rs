@@ -4,30 +4,36 @@
 //! the paper) because endpoint execution needs cheap immutable snapshots:
 //! every transaction reads from a frozen root pointer while the committer
 //! installs new roots, and rolled-back speculative state is dropped by
-//! forgetting a pointer. Structural sharing makes snapshot = one `Arc`
-//! clone and update = O(log32 n) path copy.
+//! forgetting a pointer. Structural sharing makes snapshot = a root
+//! pointer copy and update = O(log32 n) path copy.
 //!
-//! Layout follows the CHAMP paper: each internal node keeps two bitmaps —
+//! Layout follows the CHAMP paper: each node keeps two bitmaps —
 //! `data_map` for inline key-value entries and `node_map` for sub-nodes —
-//! over a 32-way branch, with entries stored before child pointers in one
-//! compact vector pair. Hash collisions beyond the 60-bit hash path fall
-//! back to a small collision node.
+//! over a 32-way branch, with entries and sub-nodes in two compact slices.
+//! An entry sits behind one `Arc` and a sub-node is held by value in its
+//! parent's slice, so a path copy copies pointers only (never key or value
+//! bytes) and a lookup takes one pointer hop per level. Hash collisions
+//! beyond the 60-bit hash path fall back to a plain list of entries.
 
+use std::borrow::Borrow;
+use std::hash::Hash;
 use std::sync::Arc;
 
 const BITS: u32 = 5;
 const FANOUT: usize = 1 << BITS; // 32
 const MAX_DEPTH: u32 = 64 / BITS + 1; // hash exhausted below this
 
-/// Key bound: hashable, comparable, cheap to clone (keys are `Vec<u8>` or
-/// small strings throughout the workspace).
-pub trait Key: Eq + std::hash::Hash + Clone {}
-impl<T: Eq + std::hash::Hash + Clone> Key for T {}
+/// Key bound: hashable and comparable. Keys are never cloned by the map:
+/// each entry lives behind one `Arc` that path copies share.
+pub trait Key: Eq + Hash {}
+impl<T: Eq + Hash> Key for T {}
 
-fn hash_of<K: std::hash::Hash>(key: &K) -> u64 {
+fn hash_of<K: Hash + ?Sized>(key: &K) -> u64 {
     // FNV-1a over the key's Hash stream: deterministic across processes
     // (unlike `RandomState`), which matters because map iteration feeds
-    // deterministic serialization.
+    // deterministic serialization. A borrowed form of a key hashes like
+    // the key itself (the `Borrow` contract), so lookups by `&[u8]` find
+    // `Vec<u8>` keys.
     struct Fnv(u64);
     impl std::hash::Hasher for Fnv {
         fn finish(&self) -> u64 {
@@ -41,41 +47,61 @@ fn hash_of<K: std::hash::Hash>(key: &K) -> u64 {
         }
     }
     let mut h = Fnv(0xcbf29ce484222325);
-    std::hash::Hash::hash(key, &mut h);
+    key.hash(&mut h);
     std::hash::Hasher::finish(&h)
 }
 
-#[derive(Clone)]
-enum Node<K, V> {
-    Bitmap(BitmapNode<K, V>),
-    Collision(CollisionNode<K, V>),
-}
+/// One key-value pair. Nodes hold entries by pointer so a path copy bumps
+/// reference counts instead of copying key and value bytes.
+type Entry<K, V> = Arc<(K, V)>;
 
-#[derive(Clone)]
-struct BitmapNode<K, V> {
+/// A node: its bitmaps and one shared slice of slots — inline entries,
+/// then sub-nodes, each in bit order. A sub-node sits by value in its
+/// parent's slice, so a lookup takes one pointer hop per level and a path
+/// copy allocates one slice per level. From depth `MAX_DEPTH` on the hash
+/// is exhausted: such a node is a plain list of colliding entries and its
+/// bitmaps are unused.
+struct Node<K, V> {
     data_map: u32,
     node_map: u32,
-    entries: Vec<(K, V)>,
-    children: Vec<Arc<Node<K, V>>>,
+    slots: Arc<[Slot<K, V>]>,
 }
 
-#[derive(Clone)]
-struct CollisionNode<K, V> {
-    hash: u64,
-    entries: Vec<(K, V)>,
+enum Slot<K, V> {
+    Entry(Entry<K, V>),
+    Node(Node<K, V>),
 }
 
-impl<K: Key, V: Clone> BitmapNode<K, V> {
-    fn empty() -> Self {
-        BitmapNode { data_map: 0, node_map: 0, entries: Vec::new(), children: Vec::new() }
+// Manual impls: copying a node copies pointers only, so neither `K` nor
+// `V` needs to be `Clone`.
+impl<K, V> Clone for Node<K, V> {
+    fn clone(&self) -> Self {
+        Node { data_map: self.data_map, node_map: self.node_map, slots: self.slots.clone() }
+    }
+}
+
+impl<K, V> Clone for Slot<K, V> {
+    fn clone(&self) -> Self {
+        match self {
+            Slot::Entry(e) => Slot::Entry(e.clone()),
+            Slot::Node(n) => Slot::Node(n.clone()),
+        }
+    }
+}
+
+impl<K, V> Slot<K, V> {
+    fn entry(&self) -> &Entry<K, V> {
+        match self {
+            Slot::Entry(e) => e,
+            Slot::Node(_) => unreachable!("a data bit indexes an entry slot"),
+        }
     }
 
-    fn data_index(&self, bit: u32) -> usize {
-        (self.data_map & (bit - 1)).count_ones() as usize
-    }
-
-    fn node_index(&self, bit: u32) -> usize {
-        (self.node_map & (bit - 1)).count_ones() as usize
+    fn node(&self) -> &Node<K, V> {
+        match self {
+            Slot::Node(n) => n,
+            Slot::Entry(_) => unreachable!("a node bit indexes a sub-node slot"),
+        }
     }
 }
 
@@ -83,216 +109,193 @@ fn frag(hash: u64, depth: u32) -> u32 {
     1u32 << ((hash >> (depth * BITS)) & (FANOUT as u64 - 1)) as u32
 }
 
+/// `s` with `item` inserted at `idx` (one allocation: the iterator's length
+/// is exact).
+fn inserted<T: Clone>(s: &[T], idx: usize, item: T) -> Arc<[T]> {
+    let (head, tail) = s.split_at(idx);
+    head.iter().cloned().chain(std::iter::once(item)).chain(tail.iter().cloned()).collect()
+}
+
+/// `s` with the element at `idx` replaced by `item`.
+fn replaced<T: Clone>(s: &[T], idx: usize, item: T) -> Arc<[T]> {
+    let (head, tail) = (&s[..idx], &s[idx + 1..]);
+    head.iter().cloned().chain(std::iter::once(item)).chain(tail.iter().cloned()).collect()
+}
+
+/// `s` without the element at `idx`.
+fn removed<T: Clone>(s: &[T], idx: usize) -> Arc<[T]> {
+    let (head, tail) = (&s[..idx], &s[idx + 1..]);
+    head.iter().cloned().chain(tail.iter().cloned()).collect()
+}
+
+/// `s` without the element at `from`, with `item` at index `to` of the
+/// result (an entry pushed down into a sub-node, or pulled back up).
+fn moved<T: Clone>(s: &[T], from: usize, to: usize, item: T) -> Arc<[T]> {
+    let mut v = s.to_vec();
+    v.remove(from);
+    v.insert(to, item);
+    Arc::from(v)
+}
+
 enum InsertResult {
     Added,
     Replaced,
 }
 
-impl<K: Key, V: Clone> Node<K, V> {
-    fn get<'a>(&'a self, key: &K, hash: u64, depth: u32) -> Option<&'a V> {
-        match self {
-            Node::Collision(c) => {
-                c.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+enum RemoveResult<K, V> {
+    NotFound,
+    /// The node lost its last entry.
+    Emptied,
+    Removed(Node<K, V>),
+}
+
+impl<K: Key, V> Node<K, V> {
+    /// Slot index of the inline entry at `bit`.
+    fn entry_slot(&self, bit: u32) -> usize {
+        (self.data_map & (bit - 1)).count_ones() as usize
+    }
+
+    /// Slot index of the sub-node at `bit`: after every inline entry.
+    fn node_slot(&self, bit: u32) -> usize {
+        (self.data_map.count_ones() + (self.node_map & (bit - 1)).count_ones()) as usize
+    }
+
+    fn get<'a, Q>(&'a self, key: &Q, hash: u64) -> Option<&'a V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        let mut node = self;
+        let mut depth = 0;
+        loop {
+            if depth >= MAX_DEPTH {
+                let mut entries = node.slots.iter().map(Slot::entry);
+                return entries.find(|e| e.0.borrow() == key).map(|e| &e.1);
             }
-            Node::Bitmap(b) => {
-                let bit = frag(hash, depth);
-                if b.data_map & bit != 0 {
-                    let (k, v) = &b.entries[b.data_index(bit)];
-                    if k == key {
-                        Some(v)
-                    } else {
-                        None
-                    }
-                } else if b.node_map & bit != 0 {
-                    b.children[b.node_index(bit)].get(key, hash, depth + 1)
-                } else {
-                    None
-                }
+            let bit = frag(hash, depth);
+            if node.data_map & bit != 0 {
+                let entry = node.slots[node.entry_slot(bit)].entry();
+                return (entry.0.borrow() == key).then_some(&entry.1);
             }
+            if node.node_map & bit == 0 {
+                return None;
+            }
+            node = node.slots[node.node_slot(bit)].node();
+            depth += 1;
         }
     }
 
     /// Returns the new node and whether an entry was added or replaced.
-    fn insert(&self, key: K, value: V, hash: u64, depth: u32) -> (Node<K, V>, InsertResult) {
-        match self {
-            Node::Collision(c) => {
-                debug_assert_eq!(c.hash, hash);
-                let mut entries = c.entries.clone();
-                if let Some(slot) = entries.iter_mut().find(|(k, _)| *k == key) {
-                    slot.1 = value;
-                    (Node::Collision(CollisionNode { hash, entries }), InsertResult::Replaced)
-                } else {
-                    entries.push((key, value));
-                    (Node::Collision(CollisionNode { hash, entries }), InsertResult::Added)
-                }
+    fn insert(&self, entry: Entry<K, V>, hash: u64, depth: u32) -> (Node<K, V>, InsertResult) {
+        let (data_map, node_map) = (self.data_map, self.node_map);
+        if depth >= MAX_DEPTH {
+            let found = self.slots.iter().position(|s| s.entry().0 == entry.0);
+            let entry = Slot::Entry(entry);
+            let (slots, res) = match found {
+                Some(idx) => (replaced(&self.slots, idx, entry), InsertResult::Replaced),
+                None => (inserted(&self.slots, self.slots.len(), entry), InsertResult::Added),
+            };
+            return (Node { data_map, node_map, slots }, res);
+        }
+        let bit = frag(hash, depth);
+        if data_map & bit != 0 {
+            let idx = self.entry_slot(bit);
+            let existing = self.slots[idx].entry();
+            if existing.0 == entry.0 {
+                let slots = replaced(&self.slots, idx, Slot::Entry(entry));
+                return (Node { data_map, node_map, slots }, InsertResult::Replaced);
             }
-            Node::Bitmap(b) => {
-                let bit = frag(hash, depth);
-                if b.data_map & bit != 0 {
-                    let idx = b.data_index(bit);
-                    let (existing_key, existing_value) = &b.entries[idx];
-                    if *existing_key == key {
-                        let mut nb = b.clone();
-                        nb.entries[idx].1 = value;
-                        (Node::Bitmap(nb), InsertResult::Replaced)
-                    } else {
-                        // Push the existing entry down one level and insert
-                        // both into a fresh sub-node.
-                        let sub = Node::merge_two(
-                            existing_key.clone(),
-                            existing_value.clone(),
-                            hash_of(existing_key),
-                            key,
-                            value,
-                            hash,
-                            depth + 1,
-                        );
-                        let mut nb = b.clone();
-                        nb.entries.remove(idx);
-                        nb.data_map &= !bit;
-                        let nidx = nb.node_index(bit);
-                        nb.children.insert(nidx, Arc::new(sub));
-                        nb.node_map |= bit;
-                        (Node::Bitmap(nb), InsertResult::Added)
-                    }
-                } else if b.node_map & bit != 0 {
-                    let idx = b.node_index(bit);
-                    let (child, res) = b.children[idx].insert(key, value, hash, depth + 1);
-                    let mut nb = b.clone();
-                    nb.children[idx] = Arc::new(child);
-                    (Node::Bitmap(nb), res)
-                } else {
-                    let mut nb = b.clone();
-                    let idx = nb.data_index(bit);
-                    nb.entries.insert(idx, (key, value));
-                    nb.data_map |= bit;
-                    (Node::Bitmap(nb), InsertResult::Added)
-                }
-            }
+            // Push the existing entry down one level and insert both into
+            // a fresh sub-node, which takes the slot after the entries.
+            let existing_hash = hash_of(&existing.0);
+            let sub = Node::merge_two(existing.clone(), existing_hash, entry, hash, depth + 1);
+            let slots = moved(&self.slots, idx, self.node_slot(bit) - 1, Slot::Node(sub));
+            let node = Node { data_map: data_map & !bit, node_map: node_map | bit, slots };
+            (node, InsertResult::Added)
+        } else if node_map & bit != 0 {
+            let idx = self.node_slot(bit);
+            let (child, res) = self.slots[idx].node().insert(entry, hash, depth + 1);
+            (Node { data_map, node_map, slots: replaced(&self.slots, idx, Slot::Node(child)) }, res)
+        } else {
+            let slots = inserted(&self.slots, self.entry_slot(bit), Slot::Entry(entry));
+            (Node { data_map: data_map | bit, node_map, slots }, InsertResult::Added)
         }
     }
 
-    fn merge_two(k1: K, v1: V, h1: u64, k2: K, v2: V, h2: u64, depth: u32) -> Node<K, V> {
+    fn merge_two(e1: Entry<K, V>, h1: u64, e2: Entry<K, V>, h2: u64, depth: u32) -> Node<K, V> {
         if depth >= MAX_DEPTH {
-            return Node::Collision(CollisionNode { hash: h1, entries: vec![(k1, v1), (k2, v2)] });
+            let slots = Arc::from([Slot::Entry(e1), Slot::Entry(e2)]);
+            return Node { data_map: 0, node_map: 0, slots };
         }
         let b1 = frag(h1, depth);
         let b2 = frag(h2, depth);
         if b1 == b2 {
-            let sub = Node::merge_two(k1, v1, h1, k2, v2, h2, depth + 1);
-            return Node::Bitmap(BitmapNode {
-                data_map: 0,
-                node_map: b1,
-                entries: Vec::new(),
-                children: vec![Arc::new(sub)],
-            });
+            let sub = Node::merge_two(e1, h1, e2, h2, depth + 1);
+            return Node { data_map: 0, node_map: b1, slots: Arc::from([Slot::Node(sub)]) };
         }
         // Order entries by bit position to keep the compact layout sorted.
-        let entries = if b1 < b2 { vec![(k1, v1), (k2, v2)] } else { vec![(k2, v2), (k1, v1)] };
-        Node::Bitmap(BitmapNode {
-            data_map: b1 | b2,
-            node_map: 0,
-            entries,
-            children: Vec::new(),
-        })
+        let (lo, hi) = if b1 < b2 { (e1, e2) } else { (e2, e1) };
+        let slots = Arc::from([Slot::Entry(lo), Slot::Entry(hi)]);
+        Node { data_map: b1 | b2, node_map: 0, slots }
     }
 
-    /// Removes `key`, returning the new node (None = became empty) and
-    /// whether a removal happened. Maintains the CHAMP canonical form by
-    /// collapsing single-entry sub-nodes back inline.
-    fn remove(&self, key: &K, hash: u64, depth: u32) -> (Option<Node<K, V>>, bool) {
-        match self {
-            Node::Collision(c) => {
-                let Some(pos) = c.entries.iter().position(|(k, _)| k == key) else {
-                    return (Some(self.clone()), false);
-                };
-                let mut entries = c.entries.clone();
-                entries.remove(pos);
-                match entries.len() {
-                    0 => (None, true),
-                    _ => (Some(Node::Collision(CollisionNode { hash: c.hash, entries })), true),
+    /// Removes `key`. Maintains the CHAMP canonical form by collapsing
+    /// single-entry sub-nodes back inline.
+    fn remove<Q>(&self, key: &Q, hash: u64, depth: u32) -> RemoveResult<K, V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        let (data_map, node_map) = (self.data_map, self.node_map);
+        // The slot that goes, and the bitmaps without it.
+        let (idx, data_map, node_map) = if depth >= MAX_DEPTH {
+            let Some(idx) = self.slots.iter().position(|s| s.entry().0.borrow() == key) else {
+                return RemoveResult::NotFound;
+            };
+            (idx, data_map, node_map)
+        } else {
+            let bit = frag(hash, depth);
+            if data_map & bit != 0 {
+                let idx = self.entry_slot(bit);
+                if self.slots[idx].entry().0.borrow() != key {
+                    return RemoveResult::NotFound;
                 }
-            }
-            Node::Bitmap(b) => {
-                let bit = frag(hash, depth);
-                if b.data_map & bit != 0 {
-                    let idx = b.data_index(bit);
-                    if b.entries[idx].0 != *key {
-                        return (Some(self.clone()), false);
+                (idx, data_map & !bit, node_map)
+            } else if node_map & bit != 0 {
+                let idx = self.node_slot(bit);
+                match self.slots[idx].node().remove(key, hash, depth + 1) {
+                    RemoveResult::NotFound => return RemoveResult::NotFound,
+                    RemoveResult::Emptied => (idx, data_map, node_map & !bit),
+                    // Canonical form: a sub-node left with exactly one
+                    // entry and no sub-nodes is pulled up inline.
+                    RemoveResult::Removed(child)
+                        if child.node_map == 0 && child.slots.len() == 1 =>
+                    {
+                        let entry = child.slots[0].clone();
+                        let slots = moved(&self.slots, idx, self.entry_slot(bit), entry);
+                        let (data_map, node_map) = (data_map | bit, node_map & !bit);
+                        return RemoveResult::Removed(Node { data_map, node_map, slots });
                     }
-                    let mut nb = b.clone();
-                    nb.entries.remove(idx);
-                    nb.data_map &= !bit;
-                    if nb.entries.is_empty() && nb.children.is_empty() {
-                        (None, true)
-                    } else {
-                        (Some(Node::Bitmap(nb)), true)
+                    RemoveResult::Removed(child) => {
+                        let slots = replaced(&self.slots, idx, Slot::Node(child));
+                        return RemoveResult::Removed(Node { data_map, node_map, slots });
                     }
-                } else if b.node_map & bit != 0 {
-                    let idx = b.node_index(bit);
-                    let (child, removed) = b.children[idx].remove(key, hash, depth + 1);
-                    if !removed {
-                        return (Some(self.clone()), false);
-                    }
-                    let mut nb = b.clone();
-                    match child {
-                        None => {
-                            nb.children.remove(idx);
-                            nb.node_map &= !bit;
-                            if nb.entries.is_empty() && nb.children.is_empty() {
-                                return (None, true);
-                            }
-                        }
-                        Some(child) => {
-                            // Canonical form: a sub-node holding exactly one
-                            // inline entry and no children is pulled up.
-                            if let Node::Bitmap(cb) = &child {
-                                if cb.children.is_empty() && cb.entries.len() == 1 {
-                                    let (k, v) = cb.entries[0].clone();
-                                    nb.children.remove(idx);
-                                    nb.node_map &= !bit;
-                                    let didx = nb.data_index(bit);
-                                    nb.entries.insert(didx, (k, v));
-                                    nb.data_map |= bit;
-                                    return (Some(Node::Bitmap(nb)), true);
-                                }
-                            }
-                            if let Node::Collision(cc) = &child {
-                                if cc.entries.len() == 1 {
-                                    let (k, v) = cc.entries[0].clone();
-                                    nb.children.remove(idx);
-                                    nb.node_map &= !bit;
-                                    let didx = nb.data_index(bit);
-                                    nb.entries.insert(didx, (k, v));
-                                    nb.data_map |= bit;
-                                    return (Some(Node::Bitmap(nb)), true);
-                                }
-                            }
-                            nb.children[idx] = Arc::new(child);
-                        }
-                    }
-                    (Some(Node::Bitmap(nb)), true)
-                } else {
-                    (Some(self.clone()), false)
                 }
+            } else {
+                return RemoveResult::NotFound;
             }
+        };
+        if self.slots.len() == 1 {
+            return RemoveResult::Emptied;
         }
+        RemoveResult::Removed(Node { data_map, node_map, slots: removed(&self.slots, idx) })
     }
 
     fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a K, &'a V)) {
-        match self {
-            Node::Collision(c) => {
-                for (k, v) in &c.entries {
-                    f(k, v);
-                }
-            }
-            Node::Bitmap(b) => {
-                for (k, v) in &b.entries {
-                    f(k, v);
-                }
-                for child in &b.children {
-                    child.for_each(f);
-                }
+        for slot in self.slots.iter() {
+            match slot {
+                Slot::Entry(e) => f(&e.0, &e.1),
+                Slot::Node(n) => n.for_each(f),
             }
         }
     }
@@ -301,7 +304,7 @@ impl<K: Key, V: Clone> Node<K, V> {
 /// A persistent hash map with O(1) snapshots (clone) and O(log32 n)
 /// updates via structural sharing.
 pub struct ChampMap<K, V> {
-    root: Option<Arc<Node<K, V>>>,
+    root: Option<Node<K, V>>,
     len: usize,
 }
 
@@ -311,13 +314,13 @@ impl<K, V> Clone for ChampMap<K, V> {
     }
 }
 
-impl<K: Key, V: Clone> Default for ChampMap<K, V> {
+impl<K: Key, V> Default for ChampMap<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Key, V: Clone> ChampMap<K, V> {
+impl<K: Key, V> ChampMap<K, V> {
     /// The empty map.
     pub fn new() -> Self {
         ChampMap { root: None, len: 0 }
@@ -333,45 +336,55 @@ impl<K: Key, V: Clone> ChampMap<K, V> {
         self.len == 0
     }
 
-    /// Looks up a key.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        let root = self.root.as_ref()?;
-        root.get(key, hash_of(key), 0)
+    /// Looks up a key by any borrowed form of it (e.g. `&[u8]` for
+    /// `Vec<u8>` keys), without allocating.
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.root.as_ref()?.get(key, hash_of(key))
     }
 
     /// True iff `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
+    pub fn contains_key<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.get(key).is_some()
     }
 
     /// Returns a new map with `key` bound to `value` (persistent insert).
     pub fn insert(&self, key: K, value: V) -> ChampMap<K, V> {
         let hash = hash_of(&key);
-        match &self.root {
+        let entry = Arc::new((key, value));
+        let (node, res) = match &self.root {
             None => {
-                let (node, _) =
-                    Node::Bitmap(BitmapNode::empty()).insert(key, value, hash, 0);
-                ChampMap { root: Some(Arc::new(node)), len: 1 }
+                let slots = Arc::from([Slot::Entry(entry)]);
+                (Node { data_map: frag(hash, 0), node_map: 0, slots }, InsertResult::Added)
             }
-            Some(root) => {
-                let (node, res) = root.insert(key, value, hash, 0);
-                let len = match res {
-                    InsertResult::Added => self.len + 1,
-                    InsertResult::Replaced => self.len,
-                };
-                ChampMap { root: Some(Arc::new(node)), len }
-            }
-        }
+            Some(root) => root.insert(entry, hash, 0),
+        };
+        let len = match res {
+            InsertResult::Added => self.len + 1,
+            InsertResult::Replaced => self.len,
+        };
+        ChampMap { root: Some(node), len }
     }
 
     /// Returns a new map without `key` (persistent remove).
-    pub fn remove(&self, key: &K) -> ChampMap<K, V> {
+    pub fn remove<Q>(&self, key: &Q) -> ChampMap<K, V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let Some(root) = &self.root else { return self.clone() };
-        let (node, removed) = root.remove(key, hash_of(key), 0);
-        if !removed {
-            return self.clone();
+        match root.remove(key, hash_of(key), 0) {
+            RemoveResult::NotFound => self.clone(),
+            RemoveResult::Emptied => ChampMap { root: None, len: self.len - 1 },
+            RemoveResult::Removed(node) => ChampMap { root: Some(node), len: self.len - 1 },
         }
-        ChampMap { root: node.map(Arc::new), len: self.len - 1 }
     }
 
     /// Visits every entry (order is deterministic but unspecified).
@@ -389,7 +402,7 @@ impl<K: Key, V: Clone> ChampMap<K, V> {
     }
 }
 
-impl<K: Key + std::fmt::Debug, V: Clone + std::fmt::Debug> std::fmt::Debug for ChampMap<K, V> {
+impl<K: Key + std::fmt::Debug, V: std::fmt::Debug> std::fmt::Debug for ChampMap<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut m = f.debug_map();
         self.for_each(|k, v| {
@@ -403,6 +416,35 @@ impl<K: Key + std::fmt::Debug, V: Clone + std::fmt::Debug> std::fmt::Debug for C
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    /// Asserts the CHAMP canonical form below the root: no empty node, no
+    /// sub-node holding a single entry, and one slot per bitmap bit.
+    fn assert_canonical<K, V>(node: &Node<K, V>, depth: u32) {
+        assert!(!node.slots.is_empty(), "empty node at depth {depth}");
+        if depth > 0 {
+            let lone_entry = node.slots.len() == 1 && matches!(node.slots[0], Slot::Entry(_));
+            assert!(!lone_entry, "single-entry sub-node at depth {depth}");
+        }
+        if depth < MAX_DEPTH {
+            let entries = node.data_map.count_ones() as usize;
+            assert_eq!(node.slots.len(), entries + node.node_map.count_ones() as usize);
+            for (i, slot) in node.slots.iter().enumerate() {
+                assert_eq!(matches!(slot, Slot::Entry(_)), i < entries, "slot order");
+            }
+        }
+        for slot in node.slots.iter() {
+            if let Slot::Node(child) = slot {
+                assert_canonical(child, depth + 1);
+            }
+        }
+    }
+
+    fn assert_map_canonical<K, V>(map: &ChampMap<K, V>) {
+        assert_eq!(map.root.is_none(), map.len == 0);
+        if let Some(root) = &map.root {
+            assert_canonical(root, 0);
+        }
+    }
 
     #[test]
     fn insert_get_remove() {
@@ -453,6 +495,7 @@ mod tests {
                 }
             }
             assert_eq!(champ.len(), reference.len());
+            assert_map_canonical(&champ);
         }
         for (k, v) in &reference {
             assert_eq!(champ.get(k), Some(v), "key {k}");
@@ -493,9 +536,50 @@ mod tests {
         for i in 0..5_000u64 {
             m = m.remove(&i);
         }
+        assert_map_canonical(&m);
         assert_eq!(m.len(), 5_000);
         assert_eq!(m.get(&100), None);
         assert_eq!(m.get(&7000), Some(&7000));
+    }
+
+    /// A key whose hash ignores all but two bits: keys collide on the full
+    /// hash path and land in collision lists below `MAX_DEPTH`.
+    #[derive(PartialEq, Eq, Debug)]
+    struct Colliding(u32);
+
+    impl std::hash::Hash for Colliding {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            (self.0 % 4).hash(state)
+        }
+    }
+
+    #[test]
+    fn colliding_hashes_agree_with_hashmap() {
+        let mut reference: HashMap<u32, u32> = HashMap::new();
+        let mut champ: ChampMap<Colliding, u32> = ChampMap::new();
+        let mut rng = ccf_crypto::chacha::ChaChaRng::seed_from_u64(7);
+        for _ in 0..4_000 {
+            let key = rng.gen_range(64) as u32;
+            if rng.gen_range(3) < 2 {
+                let val = rng.next_u64() as u32;
+                reference.insert(key, val);
+                champ = champ.insert(Colliding(key), val);
+            } else {
+                reference.remove(&key);
+                champ = champ.remove(&Colliding(key));
+            }
+            assert_eq!(champ.len(), reference.len());
+            assert_map_canonical(&champ);
+        }
+        for key in 0..64 {
+            assert_eq!(champ.get(&Colliding(key)), reference.get(&key), "key {key}");
+        }
+        let mut count = 0;
+        champ.for_each(|k, v| {
+            assert_eq!(reference.get(&k.0), Some(v));
+            count += 1;
+        });
+        assert_eq!(count, reference.len());
     }
 
     #[test]

@@ -65,6 +65,14 @@ impl std::fmt::Display for MapName {
     }
 }
 
+/// Lets maps keyed by `MapName` be probed with a `&str` without
+/// allocating (`String` orders and hashes like `str`).
+impl std::borrow::Borrow<str> for MapName {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl From<&str> for MapName {
     fn from(s: &str) -> MapName {
         MapName::new(s)

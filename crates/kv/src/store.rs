@@ -13,7 +13,7 @@ use crate::champ::ChampMap;
 use crate::writeset::WriteSet;
 use crate::MapName;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A value plus the store version at which it was last written.
@@ -28,17 +28,22 @@ pub struct Versioned {
 type Map = ChampMap<Vec<u8>, Versioned>;
 
 /// An immutable snapshot of the whole store.
+///
+/// The map of maps is itself a persistent CHAMP map, so a new version
+/// shares everything but its paths: one root-to-leaf copy of node
+/// pointers in the map table per written map, and one in that map per
+/// written key. Existing keys and values are never copied.
 #[derive(Clone, Default)]
 pub struct StoreState {
     /// Version of the last applied transaction (ledger seqno).
     pub version: u64,
-    maps: HashMap<MapName, Map>,
+    maps: ChampMap<MapName, Map>,
 }
 
 impl StoreState {
     /// Reads a value (with its version) from the snapshot.
     pub fn get(&self, map: &MapName, key: &[u8]) -> Option<&Versioned> {
-        self.maps.get(map)?.get(&key.to_vec())
+        self.maps.get(map)?.get(key)
     }
 
     /// Iterates over all entries of a map.
@@ -63,7 +68,8 @@ impl StoreState {
 
     /// Names of all maps that currently exist (have ever been written).
     pub fn map_names(&self) -> Vec<MapName> {
-        let mut names: Vec<_> = self.maps.keys().cloned().collect();
+        let mut names = Vec::with_capacity(self.maps.len());
+        self.maps.for_each(|name, _| names.push(name.clone()));
         names.sort();
         names
     }
@@ -74,21 +80,16 @@ impl StoreState {
     pub fn serialize(&self) -> Vec<u8> {
         let mut w = crate::codec::Writer::new();
         w.u64(self.version);
-        let names = self.map_names();
-        w.u32(names.len() as u32);
-        for name in names {
+        let mut maps = self.maps.entries();
+        maps.sort_unstable_by_key(|(name, _)| *name);
+        w.u32(maps.len() as u32);
+        for (name, m) in maps {
             w.str(&name.0);
-            let entries = {
-                let mut es: Vec<(Vec<u8>, Versioned)> = Vec::new();
-                if let Some(m) = self.maps.get(&name) {
-                    m.for_each(|k, v| es.push((k.clone(), v.clone())));
-                }
-                es.sort_by(|a, b| a.0.cmp(&b.0));
-                es
-            };
+            let mut entries = m.entries();
+            entries.sort_unstable_by_key(|(k, _)| *k);
             w.u32(entries.len() as u32);
             for (k, v) in entries {
-                w.bytes(&k);
+                w.bytes(k);
                 w.u64(v.version);
                 w.bytes(&v.data);
             }
@@ -101,7 +102,7 @@ impl StoreState {
         let mut r = crate::codec::Reader::new(bytes);
         let version = r.u64("snapshot version")?;
         let map_count = r.u32("snapshot map count")?;
-        let mut maps = HashMap::new();
+        let mut maps = ChampMap::new();
         for _ in 0..map_count {
             let name = MapName::new(r.str("snapshot map name")?);
             let entry_count = r.u32("snapshot entry count")?;
@@ -112,7 +113,7 @@ impl StoreState {
                 let data = r.bytes("snapshot value")?.to_vec();
                 m = m.insert(k, Versioned { version: ver, data });
             }
-            maps.insert(name, m);
+            maps = maps.insert(name, m);
         }
         if !r.is_at_end() {
             return Err(crate::codec::CodecError::BadLength { context: "snapshot trailing" });
@@ -121,7 +122,7 @@ impl StoreState {
     }
 
     fn apply_write_set(&self, ws: &WriteSet, new_version: u64) -> StoreState {
-        let mut maps = self.maps.clone(); // Arc-rooted maps: cheap clone
+        let mut maps = self.maps.clone(); // a root pointer: O(1)
         for (name, writes) in &ws.maps {
             let mut m = maps.get(name).cloned().unwrap_or_default();
             for (key, value) in writes {
@@ -133,7 +134,7 @@ impl StoreState {
                     None => m.remove(key),
                 };
             }
-            maps.insert(name.clone(), m);
+            maps = maps.insert(name.clone(), m);
         }
         StoreState { version: new_version, maps }
     }
@@ -378,6 +379,12 @@ impl Transaction {
     /// The buffered write set (e.g. for inspection in tests).
     pub fn write_set(&self) -> &WriteSet {
         &self.writes
+    }
+
+    /// Consumes the transaction, returning its write set without a copy
+    /// (the node proposes it once the read-set has validated).
+    pub fn into_write_set(self) -> WriteSet {
+        self.writes
     }
 }
 

@@ -5,7 +5,7 @@ use ccf_kv::codec::{Reader, Writer};
 use ccf_kv::store::StoreState;
 use ccf_kv::{ChampMap, MapName, Store, WriteSet};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -20,8 +20,94 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The store as plain ordered maps: map → key → (version, value).
+type Model = BTreeMap<MapName, BTreeMap<Vec<u8>, (u64, Vec<u8>)>>;
+
+/// One update of a generated write set: (map index, key, value or removal).
+type Update = (usize, u8, Option<Vec<u8>>);
+
+/// Map names the store test writes: private and public, so some write
+/// sets create maps the store has never seen.
+const STORE_MAPS: [&str; 4] = ["msgs", "public:app.prices", "public:ccf.gov.nodes.info", "z"];
+
+fn update_strategy() -> impl Strategy<Value = Update> {
+    (
+        0usize..STORE_MAPS.len(),
+        0u8..24,
+        proptest::option::of(proptest::collection::vec(any::<u8>(), 0..12)),
+    )
+}
+
+/// `StoreState::serialize`'s format, written from the model.
+fn encode_model(version: u64, model: &Model) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u64(version);
+    w.u32(model.len() as u32);
+    for (name, entries) in model {
+        w.str(&name.0);
+        w.u32(entries.len() as u32);
+        for (key, (ver, data)) in entries {
+            w.bytes(key);
+            w.u64(*ver);
+            w.bytes(data);
+        }
+    }
+    w.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn store_versions_match_model(
+        write_sets in proptest::collection::vec(
+            proptest::collection::vec(update_strategy(), 0..8),
+            1..40,
+        )
+    ) {
+        let store = Store::new();
+        let mut model = Model::new();
+        let mut retained = Vec::new();
+        for (i, updates) in write_sets.iter().enumerate() {
+            let version = i as u64 + 1;
+            let mut ws = WriteSet::new();
+            for (m, key, value) in updates {
+                let name = MapName::new(STORE_MAPS[*m]);
+                match value {
+                    Some(v) => ws.write(name, vec![*key], v.clone()),
+                    None => ws.remove(name, vec![*key]),
+                }
+            }
+            store.apply_at(&ws, version);
+            // A map named in a write set exists from then on, even if
+            // every update to it was a removal.
+            for (name, writes) in &ws.maps {
+                let entries = model.entry(name.clone()).or_default();
+                for (key, value) in writes {
+                    match value {
+                        Some(v) => entries.insert(key.clone(), (version, v.clone())),
+                        None => entries.remove(key),
+                    };
+                }
+            }
+            retained.push((store.snapshot(), model.clone()));
+        }
+        // Every retained version still reads exactly its own state.
+        for (version, (state, expected)) in retained.iter().enumerate() {
+            let version = version as u64 + 1;
+            prop_assert_eq!(state.version, version);
+            prop_assert_eq!(state.map_names(), expected.keys().cloned().collect::<Vec<_>>());
+            for name in STORE_MAPS.map(MapName::new) {
+                let entries = expected.get(&name);
+                prop_assert_eq!(state.map_len(&name), entries.map_or(0, |e| e.len()));
+                for key in 0u8..24 {
+                    let got = state.get(&name, &[key]).map(|v| (v.version, v.data.clone()));
+                    prop_assert_eq!(got, entries.and_then(|e| e.get(&vec![key])).cloned());
+                }
+            }
+            prop_assert_eq!(state.serialize(), encode_model(version, expected));
+        }
+    }
 
     #[test]
     fn champ_matches_hashmap(ops in proptest::collection::vec(op_strategy(), 0..400)) {

@@ -263,3 +263,91 @@ fn ledger_rekey_via_governance() {
     let all = node.historical_writes(1, node.commit_seqno()).unwrap();
     assert!(all.len() as u64 == node.commit_seqno());
 }
+
+/// Proposes `proposal`, has every member approve it, and crashes the
+/// primary as soon as a backup knows the accepting transaction committed:
+/// the post-commit governance scan then falls to the next primary.
+/// Returns the crashed primary.
+fn accept_then_crash_primary(service: &mut ServiceCluster, proposal: Proposal) -> NodeId {
+    let old = service.primary().expect("primary");
+    let (pid, state) = service.propose(proposal);
+    let state = if state.is_final() { state } else { service.vote_all(&pid) };
+    assert_eq!(state, ProposalState::Accepted);
+    let accepted = service.nodes[&old].last_applied().seqno;
+    assert!(
+        service.run_until(10_000, |c| {
+            c.nodes.iter().any(|(id, n)| *id != old && n.commit_seqno() >= accepted)
+        }),
+        "accepting transaction never committed on a backup"
+    );
+    service.crash(&old);
+    assert!(service.run_until(30_000, |c| c.primary().is_some_and(|p| p != old)), "no failover");
+    old
+}
+
+#[test]
+fn retirement_completes_when_primary_changes_after_commit() {
+    let mut service = ServiceCluster::start(
+        ServiceOpts { nodes: 3, members: 1, seed: 66, ..ServiceOpts::default() },
+        Arc::new(app()),
+    );
+    service.open_service();
+    let primary = service.primary().unwrap();
+    let removed = accept_then_crash_primary(
+        &mut service,
+        Proposal::single(
+            "remove_node",
+            Value::obj([("node_id".to_string(), Value::str(primary.clone()))]),
+        ),
+    );
+    assert_eq!(removed, primary);
+    // The new primary records the removed node as RETIRED (§4.5).
+    assert!(
+        service.run_until(30_000, |c| {
+            let Some(p) = c.primary() else { return false };
+            let mut tx = c.nodes[&p].store().begin();
+            ccf_governance::actions::get_node_info(&mut tx, &removed)
+                .is_some_and(|info| info.status == ccf_governance::NodeStatus::Retired)
+        }),
+        "retirement of {removed} never completed"
+    );
+}
+
+#[test]
+fn rekey_completes_when_primary_changes_after_commit() {
+    let mut service = ServiceCluster::start(
+        ServiceOpts { nodes: 3, members: 1, seed: 67, ..ServiceOpts::default() },
+        Arc::new(app()),
+    );
+    service.open_service();
+    let r = service.user_request(0, "POST", "/put", b"before=rekey");
+    service.run_until_committed(r.txid.unwrap());
+    let crashed = accept_then_crash_primary(
+        &mut service,
+        Proposal::single("trigger_ledger_rekey", Value::Null),
+    );
+    // The rekey transaction commits: the request marker is cleared and
+    // the new secret is sealed to each surviving node.
+    let secrets = MapName::new(ccf_kv::builtin::LEDGER_SECRET);
+    assert!(
+        service.run_until(30_000, |c| {
+            let Some(p) = c.primary() else { return false };
+            let node = &c.nodes[&p];
+            let mut tx = node.store().begin();
+            node.commit_seqno() == node.last_applied().seqno
+                && tx.get(&secrets, b"rekey_requested").is_none()
+                && c.live_nodes()
+                    .iter()
+                    .all(|id| tx.get(&secrets, format!("dist/{id}").as_bytes()).is_some())
+        }),
+        "rekey never completed after {crashed} crashed"
+    );
+    // Writes continue under the new secret and old data still decrypts.
+    let idx = service.nodes.keys().position(|k| *k != crashed).unwrap();
+    let r = service.user_request(idx, "POST", "/put", b"after=rekey");
+    assert_eq!(r.status, 200, "{}", r.text());
+    service.run_until_committed(r.txid.unwrap());
+    let node = &service.nodes[service.live_nodes()[0]];
+    let all = node.historical_writes(1, node.commit_seqno()).unwrap();
+    assert_eq!(all.len() as u64, node.commit_seqno());
+}
