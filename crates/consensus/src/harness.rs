@@ -82,7 +82,7 @@ pub fn traced_user_entry(txid: TxId, payload: &[u8], trace: ccf_obs::TraceId) ->
             claims_digest: [0u8; 32],
         },
         config: None,
-        traces: if trace.is_none() { Vec::new() } else { vec![trace] },
+        trace,
     }
 }
 
@@ -104,7 +104,7 @@ pub fn reconfig_entry(txid: TxId, config: &Config) -> ReplicatedEntry {
             claims_digest: [0u8; 32],
         },
         config: Some(config.clone()),
-        traces: Vec::new(),
+        trace: ccf_obs::TraceId::NONE,
     }
 }
 
@@ -254,7 +254,7 @@ impl Cluster {
     ///
     /// Every harness proposal is traced: a fresh [`ccf_obs::TraceId`] is
     /// minted (dense from 1, so same-seed runs assign identical ids) and
-    /// piggybacked on the entry, giving consensus-level runs full
+    /// carried by the entry, giving consensus-level runs full
     /// per-stage causal traces without a node layer on top.
     pub fn propose(&mut self, payload: &[u8]) -> Result<TxId, ProposeError> {
         let primary = self

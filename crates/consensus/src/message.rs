@@ -19,13 +19,12 @@ pub struct ReplicatedEntry {
     pub entry: LedgerEntry,
     /// For reconfiguration entries: the new node set.
     pub config: Option<crate::Config>,
-    /// Causal-trace piggyback (DESIGN.md §12): the trace ids this entry
-    /// *covers*. A traced user entry carries its own id (one element); a
-    /// signature transaction carries the ids of every unsigned traced
-    /// entry it signs over; untraced entries carry none. Backups use
-    /// this to record per-node `append`/`sign`/`commit` stage spans
-    /// without any extra protocol round.
-    pub traces: Vec<TraceId>,
+    /// The causal trace of the user request that wrote this entry
+    /// (DESIGN.md §12), or [`TraceId::NONE`] for untraced entries and
+    /// signatures. This is the only copy of the id: each replica records
+    /// its own `append`/`sign`/`commit` stage spans from it, and a
+    /// signature covers the traced entries before it by log position.
+    pub trace: TraceId,
 }
 
 /// `append_entries`: ledger replication plus heartbeat (§4.1).
@@ -58,10 +57,6 @@ pub struct AppendEntriesResponse {
     /// On failure: the responder's best guess at the latest common point,
     /// from which the primary should resend (§4.2).
     pub last_seqno: Seqno,
-    /// Causal-trace piggyback: the trace ids of the traced entries this
-    /// ack newly appended (empty on failure and for pure heartbeats), so
-    /// the primary's flight recorder can attribute acks to requests.
-    pub traces: Vec<TraceId>,
 }
 
 /// `request_vote`: sent by candidates, carrying the view and seqno of the

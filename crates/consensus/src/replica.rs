@@ -410,11 +410,6 @@ impl<F: SignatureFactory> Replica<F> {
         self.last_sig
     }
 
-    /// The current Merkle root over the whole ledger.
-    pub fn merkle_root(&self) -> Digest32 {
-        self.merkle.root()
-    }
-
     /// Inclusion proof for the entry at `seqno` against the tree as of
     /// `tree_size` leaves — i.e. against the root signed by the signature
     /// transaction at seqno `tree_size + 1` (receipts, §3.5).
@@ -664,16 +659,7 @@ impl<F: SignatureFactory> Replica<F> {
         let entry = self.sig_factory.make_signature(txid, root);
         assert_eq!(entry.kind, EntryKind::Signature, "factory must build a signature entry");
         assert_eq!(entry.txid, txid);
-        // Piggyback the trace ids this signature covers (every traced
-        // entry since the previous signature), so backups can close
-        // their `sign` stages without an extra protocol round.
-        let covered: Vec<ccf_obs::TraceId> = self
-            .inflight_traces
-            .values()
-            .filter(|t| t.signed_at.is_none())
-            .map(|t| t.trace)
-            .collect();
-        self.append_local(ReplicatedEntry { entry, config: None, traces: covered });
+        self.append_local(ReplicatedEntry { entry, config: None, trace: TraceId::NONE });
         // Replicate eagerly: commit latency is dominated by signature
         // round-trips (Figure 8).
         self.broadcast_entries();
@@ -727,50 +713,36 @@ impl<F: SignatureFactory> Replica<F> {
 
     /// Trace bookkeeping at append time (DESIGN.md §12). A traced user
     /// entry opens this node's `append` marker plus in-flight `sign` and
-    /// `commit` stages; a signature entry closes the `sign` stage of
-    /// every trace it covers and opens their `replicate` stages. Runs
-    /// identically on the primary (its own appends) and on backups
-    /// (piggybacked ids), so traces survive leader changes.
+    /// `commit` stages. A signature signs the Merkle root over every entry
+    /// before it, so it closes the `sign` stage of every in-flight trace
+    /// not yet signed and opens their `replicate` stages. Runs identically
+    /// on the primary (its own appends) and on backups (replicated
+    /// entries), so traces survive leader changes.
     fn note_append_traces(&mut self, entry: &ReplicatedEntry) {
         let Some(m) = &self.metrics else { return };
-        let seqno = entry.entry.txid.seqno;
         if entry.entry.kind == EntryKind::Signature {
-            if entry.traces.is_empty() {
-                return;
-            }
-            let covered: std::collections::BTreeSet<u64> =
-                entry.traces.iter().map(|t| t.0).collect();
-            for t in self.inflight_traces.values_mut() {
-                if t.signed_at.is_none() && covered.contains(&t.trace.0) {
-                    t.signed_at = Some(self.now);
-                    if let Some(tok) = t.sign_token.take() {
-                        let sign_id = m.reg.trace_exit(tok);
-                        t.replicate_token =
-                            Some(m.reg.trace_enter(t.trace, sign_id, "replicate", m.node));
-                    }
+            for t in self.inflight_traces.values_mut().filter(|t| t.signed_at.is_none()) {
+                t.signed_at = Some(self.now);
+                if let Some(tok) = t.sign_token.take() {
+                    let sign_id = m.reg.trace_exit(tok);
+                    t.replicate_token =
+                        Some(m.reg.trace_enter(t.trace, sign_id, "replicate", m.node));
                 }
             }
-        } else {
-            for &trace in &entry.traces {
-                let append_id =
-                    m.reg.trace_mark(trace, ccf_obs::SpanId::NONE, "append", m.node);
-                self.inflight_traces.insert(
-                    seqno,
-                    InflightTrace {
-                        trace,
-                        appended_at: self.now,
-                        signed_at: None,
-                        sign_token: Some(m.reg.trace_enter(trace, append_id, "sign", m.node)),
-                        replicate_token: None,
-                        commit_token: Some(m.reg.trace_enter(
-                            trace,
-                            append_id,
-                            "commit",
-                            m.node,
-                        )),
-                    },
-                );
-            }
+        } else if entry.trace.is_some() {
+            let trace = entry.trace;
+            let append_id = m.reg.trace_mark(trace, ccf_obs::SpanId::NONE, "append", m.node);
+            self.inflight_traces.insert(
+                entry.entry.txid.seqno,
+                InflightTrace {
+                    trace,
+                    appended_at: self.now,
+                    signed_at: None,
+                    sign_token: Some(m.reg.trace_enter(trace, append_id, "sign", m.node)),
+                    replicate_token: None,
+                    commit_token: Some(m.reg.trace_enter(trace, append_id, "commit", m.node)),
+                },
+            );
         }
     }
 
@@ -1147,16 +1119,7 @@ impl<F: SignatureFactory> Replica<F> {
     fn on_append_entries(&mut self, from: &NodeId, m: AppendEntries) {
         if m.view < self.view {
             // Stale primary: reply negatively with our view (§4.2).
-            self.outbox.push((
-                from.clone(),
-                Message::AppendEntriesResponse(AppendEntriesResponse {
-                    view: self.view,
-                    from: self.id.clone(),
-                    success: false,
-                    last_seqno: self.last_seqno(),
-                    traces: Vec::new(),
-                }),
-            ));
+            self.ack(from, false, self.last_seqno());
             return;
         }
         if m.view > self.view || matches!(self.role, Role::Primary | Role::Candidate) {
@@ -1171,41 +1134,20 @@ impl<F: SignatureFactory> Replica<F> {
         self.reset_election_timer();
 
         // Consistency check on the previous transaction ID (§4.1).
-        let prev_ok = if m.prev.seqno < self.base_seqno {
+        if m.prev.seqno < self.base_seqno {
             // The primary is sending from before our snapshot base; ask it
             // to fast-forward to our base.
-            self.outbox.push((
-                from.clone(),
-                Message::AppendEntriesResponse(AppendEntriesResponse {
-                    view: self.view,
-                    from: self.id.clone(),
-                    success: false,
-                    last_seqno: self.base_seqno,
-                    traces: Vec::new(),
-                }),
-            ));
+            self.ack(from, false, self.base_seqno);
             return;
-        } else {
-            self.txid_at(m.prev.seqno) == Some(m.prev)
-        };
-        if !prev_ok {
+        }
+        if self.txid_at(m.prev.seqno) != Some(m.prev) {
             // Mismatch: report our best guess at the latest common point.
             let hint = self.last_seqno().min(m.prev.seqno.saturating_sub(1));
-            self.outbox.push((
-                from.clone(),
-                Message::AppendEntriesResponse(AppendEntriesResponse {
-                    view: self.view,
-                    from: self.id.clone(),
-                    success: false,
-                    last_seqno: hint,
-                    traces: Vec::new(),
-                }),
-            ));
+            self.ack(from, false, hint);
             return;
         }
 
         // Append, resolving conflicts in the primary's favour (§4.2).
-        let mut appended_traces: Vec<TraceId> = Vec::new();
         for re in m.entries {
             let s = re.entry.txid.seqno;
             if s <= self.base_seqno {
@@ -1233,16 +1175,7 @@ impl<F: SignatureFactory> Replica<F> {
                             self.commit_seqno
                         ),
                     });
-                    self.outbox.push((
-                        from.clone(),
-                        Message::AppendEntriesResponse(AppendEntriesResponse {
-                            view: self.view,
-                            from: self.id.clone(),
-                            success: false,
-                            last_seqno: self.commit_seqno,
-                            traces: Vec::new(),
-                        }),
-                    ));
+                    self.ack(from, false, self.commit_seqno);
                     return;
                 }
                 Some(_) => {
@@ -1250,19 +1183,9 @@ impl<F: SignatureFactory> Replica<F> {
                     // append. truncate_to refuses (returning false) if it
                     // would cross the commit point.
                     if !self.truncate_to(s - 1) {
-                        self.outbox.push((
-                            from.clone(),
-                            Message::AppendEntriesResponse(AppendEntriesResponse {
-                                view: self.view,
-                                from: self.id.clone(),
-                                success: false,
-                                last_seqno: self.commit_seqno,
-                                traces: Vec::new(),
-                            }),
-                        ));
+                        self.ack(from, false, self.commit_seqno);
                         return;
                     }
-                    appended_traces.extend_from_slice(&re.traces);
                     self.append_local(re);
                 }
                 None => {
@@ -1273,19 +1196,9 @@ impl<F: SignatureFactory> Replica<F> {
                         // appended entries with holes below them; instead
                         // reply failure with our last seqno as the
                         // retransmission hint.
-                        self.outbox.push((
-                            from.clone(),
-                            Message::AppendEntriesResponse(AppendEntriesResponse {
-                                view: self.view,
-                                from: self.id.clone(),
-                                success: false,
-                                last_seqno: self.last_seqno(),
-                                traces: Vec::new(),
-                            }),
-                        ));
+                        self.ack(from, false, self.last_seqno());
                         return;
                     }
-                    appended_traces.extend_from_slice(&re.traces);
                     self.append_local(re);
                 }
             }
@@ -1301,16 +1214,14 @@ impl<F: SignatureFactory> Replica<F> {
             self.advance_commit_backup(new_commit);
         }
 
-        self.outbox.push((
-            from.clone(),
-            Message::AppendEntriesResponse(AppendEntriesResponse {
-                view: self.view,
-                from: self.id.clone(),
-                success: true,
-                last_seqno: self.last_seqno(),
-                traces: appended_traces,
-            }),
-        ));
+        self.ack(from, true, self.last_seqno());
+    }
+
+    /// Queues the reply to an `append_entries` (or snapshot) from `to`.
+    fn ack(&mut self, to: &NodeId, success: bool, last_seqno: Seqno) {
+        let ack =
+            AppendEntriesResponse { view: self.view, from: self.id.clone(), success, last_seqno };
+        self.outbox.push((to.clone(), Message::AppendEntriesResponse(ack)));
     }
 
     /// Commit advancement on backups: same config pruning as the primary
@@ -1432,16 +1343,7 @@ impl<F: SignatureFactory> Replica<F> {
         self.reset_election_timer();
         if m.snapshot.last_txid.seqno <= self.last_seqno() {
             // We already have everything the snapshot covers.
-            self.outbox.push((
-                m.leader.clone(),
-                Message::AppendEntriesResponse(AppendEntriesResponse {
-                    view: self.view,
-                    from: self.id.clone(),
-                    success: true,
-                    last_seqno: self.last_seqno(),
-                    traces: Vec::new(),
-                }),
-            ));
+            self.ack(&m.leader, true, self.last_seqno());
             return;
         }
         self.install_snapshot_internal(m.snapshot, false);
@@ -1451,16 +1353,7 @@ impl<F: SignatureFactory> Replica<F> {
             self.note_commit(commit);
             self.events.push(Event::Committed { seqno: commit });
         }
-        self.outbox.push((
-            m.leader.clone(),
-            Message::AppendEntriesResponse(AppendEntriesResponse {
-                view: self.view,
-                from: self.id.clone(),
-                success: true,
-                last_seqno: self.last_seqno(),
-                traces: Vec::new(),
-            }),
-        ));
+        self.ack(&m.leader, true, self.last_seqno());
     }
 
     fn install_snapshot_internal(&mut self, snapshot: Snapshot, at_boot: bool) {

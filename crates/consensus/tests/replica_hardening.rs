@@ -29,7 +29,7 @@ fn sig_entry(author: &str, txid: TxId) -> ReplicatedEntry {
     ReplicatedEntry {
         entry: factory(author).make_signature(txid, [0u8; 32]),
         config: None,
-        traces: Vec::new(),
+        trace: ccf_obs::TraceId::NONE,
     }
 }
 
@@ -224,7 +224,6 @@ fn probe_seqnos(p: &mut Replica<KeyedSignatureFactory>, hint: u64, cap: usize) -
                 from: "b".to_string(),
                 success: false,
                 last_seqno: hint,
-                traces: Vec::new(),
             }),
         );
         let probe = p
@@ -273,7 +272,6 @@ fn negative_ack_backoff_reaches_hint_in_one_round_trip() {
             from: "b".to_string(),
             success: true,
             last_seqno: last,
-            traces: Vec::new(),
         }),
     );
     p.drain_outbox();

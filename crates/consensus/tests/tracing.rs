@@ -1,5 +1,5 @@
-//! End-to-end causal-tracing tests (DESIGN.md §12): traces piggybacked
-//! on consensus messages survive leader changes, same-seed runs emit
+//! End-to-end causal-tracing tests (DESIGN.md §12): trace ids carried by
+//! the replicated entries survive leader changes, same-seed runs emit
 //! byte-identical trace JSON, and the crash-forensics bundle carries the
 //! flight-recorder tail plus critical paths of in-flight traces.
 
@@ -30,10 +30,10 @@ fn quiet_net() -> NetConfig {
 
 /// A signed-but-uncommitted user request must still close (reach its
 /// `commit` stage) after a leader change: backups learn the trace id
-/// purely from the piggyback on the dead primary's `ReplicatedEntry`s,
-/// the entry survives the new primary's truncate-to-last-signature, and
-/// the new view commits it — closing the trace on a different node than
-/// the one that minted it.
+/// purely from the dead primary's `ReplicatedEntry`, the signature after
+/// it covers it by log position, the entry survives the new primary's
+/// truncate-to-last-signature, and the new view commits it — closing the
+/// trace on a different node than the one that minted it.
 #[test]
 fn trace_survives_leader_change() {
     let reg = ccf_obs::Registry::default();
@@ -56,7 +56,7 @@ fn trace_survives_leader_change() {
             ccf_consensus::message::ReplicatedEntry {
                 entry: factory("p").make_signature(TxId::new(1, 2), [0u8; 32]),
                 config: None,
-                traces: vec![trace],
+                trace: TraceId::NONE,
             },
         ],
         commit_seqno: 0,
@@ -75,7 +75,7 @@ fn trace_survives_leader_change() {
     assert_eq!(
         append_nodes,
         BTreeSet::from(["b", "c"]),
-        "both backups must carry the piggybacked trace"
+        "both backups must carry the replicated trace"
     );
 
     // Failover: "b" times out, wins "c"'s vote, and opens the new view.
@@ -100,7 +100,6 @@ fn trace_survives_leader_change() {
             from: "c".to_string(),
             success: true,
             last_seqno: 3,
-            traces: vec![trace],
         }),
     );
     assert!(b.commit_seqno() >= 2, "new view must commit the inherited entries");
@@ -176,7 +175,7 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
     let sig = ccf_consensus::message::ReplicatedEntry {
         entry: factory("p").make_signature(TxId::new(1, 2), [0u8; 32]),
         config: None,
-        traces: vec![committed],
+        trace: TraceId::NONE,
     };
     b.receive(
         &"p".to_string(),
@@ -232,7 +231,4 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
     let dump = f.render();
     assert!(dump.contains("flight recorder"));
     assert!(dump.contains("affected traces"));
-
-    // TraceId import is exercised for the NONE sentinel too.
-    assert!(TraceId::NONE.is_none());
 }

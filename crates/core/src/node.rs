@@ -211,9 +211,10 @@ struct NodeInner {
     /// the rollback points, and the write sets the indexer is fed at
     /// commit. Pruned at commit, truncated at rollback.
     recent_states: BTreeMap<Seqno, Applied>,
-    /// The write set the primary just proposed, handed to the `Appended`
-    /// event of its seqno so the primary applies it without decrypting.
-    proposed: Option<(Seqno, WriteSet)>,
+    /// The write set the primary just proposed, and when its user request
+    /// entered (internal writes: `None`), handed to the `Appended` event
+    /// of its seqno so the primary applies it without decrypting.
+    proposed: Option<(Seqno, WriteSet, Option<u64>)>,
     indexer: Indexer,
     gov: GovernanceEngine,
     rng: ChaChaRng,
@@ -233,9 +234,10 @@ struct NodeInner {
     /// `view_epoch` at the primary's last post-commit scan: a node that
     /// became primary since scans once even without a new write.
     governance_scan_epoch: Option<u64>,
-    /// Signed user requests queued for the next tick; drained as one
-    /// batch so their signatures verify together.
-    signed_request_queue: Vec<(u64, SignedRequest)>,
+    /// Signed user requests queued for the next tick as (ticket,
+    /// envelope, virtual enqueue time); drained as one batch so their
+    /// signatures verify together.
+    signed_request_queue: Vec<(u64, SignedRequest, u64)>,
     /// Responses for drained queued requests, by ticket.
     signed_request_responses: BTreeMap<u64, Response>,
     /// Next queued-request ticket.
@@ -246,16 +248,35 @@ struct NodeInner {
     /// Consensus events retained for the chaos checker (drained by
     /// [`CcfNode::take_recorded_events`]).
     recorded_events: Vec<Event>,
-    /// Causal-trace id per proposed seqno (DESIGN.md §12). Bounded:
-    /// pruned from the front past `TRACE_MAP_CAPACITY`; survives commit
-    /// so receipts and forwarders can look traces up after the fact.
-    trace_by_seqno: BTreeMap<Seqno, ccf_obs::TraceId>,
-    /// Traced user requests proposed here and not yet globally
-    /// committed: seqno → (trace, request entry time).
-    inflight_traces: BTreeMap<Seqno, (ccf_obs::TraceId, u64)>,
-    /// Virtual enqueue time per signed-request ticket (queue-stage
-    /// accounting).
-    signed_enqueue_times: BTreeMap<u64, u64>,
+}
+
+impl NodeInner {
+    fn new(replica: Replica<KeyedSignatureFactory>, rng: ChaChaRng) -> NodeInner {
+        NodeInner {
+            replica,
+            secrets: None,
+            service_key: None,
+            recent_states: BTreeMap::new(),
+            proposed: None,
+            indexer: Indexer::new(),
+            gov: GovernanceEngine::new(Box::new(DefaultConstitution)),
+            rng,
+            script_app: None,
+            script_app_version: 0,
+            last_applied: TxId::ZERO,
+            commits_since_snapshot: 0,
+            retired: false,
+            handled_rekey: None,
+            view_epoch: 0,
+            governance_scan_due: false,
+            governance_scan_epoch: None,
+            signed_request_queue: Vec::new(),
+            signed_request_responses: BTreeMap::new(),
+            next_signed_ticket: 0,
+            record_events: false,
+            recorded_events: Vec::new(),
+        }
+    }
 }
 
 /// An appended entry as the node retains it until it commits.
@@ -265,11 +286,10 @@ struct Applied {
     state: Arc<StoreState>,
     /// The entry's plaintext write set (empty for a snapshot's base).
     writes: WriteSet,
+    /// When the user request that wrote the entry entered this node, if
+    /// this node proposed it (`node.commit_latency_ms` at commit).
+    entered_at: Option<u64>,
 }
-
-/// How many seqno → trace-id mappings a node retains (receipt markers
-/// and forward lookups only need recent history).
-const TRACE_MAP_CAPACITY: usize = 1024;
 
 /// A CCF node.
 pub struct CcfNode {
@@ -311,33 +331,7 @@ impl CcfNode {
             id: opts.id.clone(),
             app,
             store: Store::new(),
-            inner: Mutex::new(NodeInner {
-                replica,
-                secrets: None,
-                service_key: None,
-                recent_states: BTreeMap::new(),
-                proposed: None,
-                indexer: Indexer::new(),
-                gov: GovernanceEngine::new(Box::new(DefaultConstitution)),
-                rng,
-                script_app: None,
-                script_app_version: 0,
-                last_applied: TxId::ZERO,
-                commits_since_snapshot: 0,
-                retired: false,
-                handled_rekey: None,
-                view_epoch: 0,
-                governance_scan_due: false,
-                governance_scan_epoch: None,
-                signed_request_queue: Vec::new(),
-                signed_request_responses: BTreeMap::new(),
-                next_signed_ticket: 0,
-                record_events: false,
-                recorded_events: Vec::new(),
-                trace_by_seqno: BTreeMap::new(),
-                inflight_traces: BTreeMap::new(),
-                signed_enqueue_times: BTreeMap::new(),
-            }),
+            inner: Mutex::new(NodeInner::new(replica, rng)),
             last_applied_view: std::sync::atomic::AtomicU64::new(0),
             last_applied_seqno: std::sync::atomic::AtomicU64::new(0),
             script_app_cache: parking_lot::RwLock::new(None),
@@ -374,33 +368,7 @@ impl CcfNode {
             id: opts.id.clone(),
             app,
             store: Store::new(),
-            inner: Mutex::new(NodeInner {
-                replica,
-                secrets: None,
-                service_key: None,
-                recent_states: BTreeMap::new(),
-                proposed: None,
-                indexer: Indexer::new(),
-                gov: GovernanceEngine::new(Box::new(DefaultConstitution)),
-                rng,
-                script_app: None,
-                script_app_version: 0,
-                last_applied: TxId::ZERO,
-                commits_since_snapshot: 0,
-                retired: false,
-                handled_rekey: None,
-                view_epoch: 0,
-                governance_scan_due: false,
-                governance_scan_epoch: None,
-                signed_request_queue: Vec::new(),
-                signed_request_responses: BTreeMap::new(),
-                next_signed_ticket: 0,
-                record_events: false,
-                recorded_events: Vec::new(),
-                trace_by_seqno: BTreeMap::new(),
-                inflight_traces: BTreeMap::new(),
-                signed_enqueue_times: BTreeMap::new(),
-            }),
+            inner: Mutex::new(NodeInner::new(replica, rng)),
             last_applied_view: std::sync::atomic::AtomicU64::new(0),
             last_applied_seqno: std::sync::atomic::AtomicU64::new(0),
             script_app_cache: parking_lot::RwLock::new(None),
@@ -569,19 +537,19 @@ impl CcfNode {
             // Surface conflicts as a retryable error at the caller.
             ProposeError::NotPrimary(None)
         })?;
-        self.propose_write_set(inner, tx.into_write_set(), None, ccf_obs::TraceId::NONE)
+        self.propose_write_set(inner, tx.into_write_set(), None, None)
     }
 
-    /// Proposes a prepared write set with optional claims. A non-NONE
-    /// `trace` rides the replicated entry so every replica records
-    /// per-stage spans for it (DESIGN.md §12); internal writes pass
-    /// [`ccf_obs::TraceId::NONE`].
+    /// Proposes a prepared write set with optional claims. A user write
+    /// passes `request`: its trace id, which rides the replicated entry so
+    /// every replica records per-stage spans for it (DESIGN.md §12), and
+    /// the time the request entered this node. Internal writes pass `None`.
     fn propose_write_set(
         &self,
         inner: &mut NodeInner,
         ws: WriteSet,
         claims: Option<Vec<u8>>,
-        trace: ccf_obs::TraceId,
+        request: Option<(ccf_obs::TraceId, u64)>,
     ) -> Result<TxId, ProposeError> {
         // Reconfiguration detection: a transaction that changes the set of
         // trusted nodes is a reconfiguration transaction (§4.4).
@@ -618,19 +586,13 @@ impl CcfNode {
                     claims_digest,
                 },
                 config: new_config.clone(),
-                traces: if trace.is_none() { Vec::new() } else { vec![trace] },
+                trace: request.map_or(ccf_obs::TraceId::NONE, |(trace, _)| trace),
             }
         })?;
-        if trace.is_some() {
-            inner.trace_by_seqno.insert(txid.seqno, trace);
-            while inner.trace_by_seqno.len() > TRACE_MAP_CAPACITY {
-                inner.trace_by_seqno.pop_first();
-            }
-        }
         // Public and private maps are disjoint, so this is the write set
         // a backup decodes from the entry.
         public_ws.merge(private_ws);
-        inner.proposed = Some((txid.seqno, public_ws));
+        inner.proposed = Some((txid.seqno, public_ws, request.map(|(_, at)| at)));
         self.handle_events(inner);
         Ok(txid)
     }
@@ -668,7 +630,7 @@ impl CcfNode {
         let mut inner = self.inner.lock();
         self.store.validate(&tx).map_err(|e| e.to_string())?;
         let ws = tx.into_write_set();
-        self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE).map_err(|e| e.to_string())
+        self.propose_write_set(&mut inner, ws, None, None).map_err(|e| e.to_string())
     }
 
     fn publish_last_applied(&self, txid: TxId) {
@@ -720,6 +682,7 @@ impl CcfNode {
                             txid: snapshot.last_txid,
                             state: self.store.snapshot(),
                             writes: WriteSet::new(),
+                            entered_at: None,
                         },
                     );
                     inner.indexer.reset_to(snapshot.last_txid.seqno);
@@ -748,9 +711,9 @@ impl CcfNode {
             .expect("appended entry is in the log")
             .entry;
         let txid = entry.txid;
-        let ws = match inner.proposed.take() {
-            Some((proposed, ws)) if proposed == seqno => ws,
-            _ => self.decode_entry_writes(inner, entry),
+        let (ws, entered_at) = match inner.proposed.take() {
+            Some((proposed, ws, entered_at)) if proposed == seqno => (ws, entered_at),
+            _ => (self.decode_entry_writes(inner, entry), None),
         };
         self.store.apply_at(&ws, seqno);
         inner.last_applied = txid;
@@ -766,14 +729,7 @@ impl CcfNode {
             self.reload_dynamic_state(inner);
         }
         let state = self.store.snapshot();
-        inner.recent_states.insert(
-            seqno,
-            Applied {
-                txid,
-                state,
-                writes: ws,
-            },
-        );
+        inner.recent_states.insert(seqno, Applied { txid, state, writes: ws, entered_at });
     }
 
     /// Decodes an entry into its full (public + decrypted private) writes.
@@ -797,27 +753,19 @@ impl CcfNode {
     }
 
     fn on_committed(&self, inner: &mut NodeInner, seqno: Seqno) {
-        // Close traced user requests covered by this commit: observe the
-        // node-level end-to-end latency (request entry → global commit).
-        if inner
-            .inflight_traces
-            .first_key_value()
-            .is_some_and(|(s, _)| *s <= seqno)
-        {
-            let rest = inner.inflight_traces.split_off(&(seqno + 1));
-            let done = std::mem::replace(&mut inner.inflight_traces, rest);
-            let now = self.metrics.reg.now();
-            for (_, (_, entered_at)) in done {
-                self.metrics.commit_latency.observe(now.saturating_sub(entered_at));
-            }
-        }
-        // Feed the indexer, in order, with the write sets kept since append.
+        // Feed the indexer, in order, with the write sets kept since
+        // append; a user request proposed here observes the node-level
+        // end-to-end latency (request entry → global commit).
+        let now = self.metrics.reg.now();
         let from = inner.indexer.processed_upto() + 1;
         for (_, applied) in inner
             .recent_states
             .range(from..)
             .take_while(|(s, _)| **s <= seqno)
         {
+            if let Some(entered_at) = applied.entered_at {
+                self.metrics.commit_latency.observe(now.saturating_sub(entered_at));
+            }
             inner.indexer.feed(applied.txid, &applied.writes);
             inner.governance_scan_due |= [builtin::NODES_INFO, builtin::LEDGER_SECRET]
                 .iter()
@@ -880,7 +828,7 @@ impl CcfNode {
             put_node_info(&mut tx, &id, &info);
         }
         let ws = tx.into_write_set();
-        let _ = self.propose_write_set(inner, ws, None, ccf_obs::TraceId::NONE);
+        let _ = self.propose_write_set(inner, ws, None, None);
     }
 
     /// Ledger rekey (§5.2 note on rekeying): generates a fresh secret,
@@ -950,7 +898,7 @@ impl CcfNode {
             &mut inner.rng,
         );
         let ws = tx.into_write_set();
-        let _ = self.propose_write_set(inner, ws, None, ccf_obs::TraceId::NONE);
+        let _ = self.propose_write_set(inner, ws, None, None);
     }
 
     /// Applies a sealed rekey distribution addressed to this node.
@@ -972,10 +920,6 @@ impl CcfNode {
     }
 
     fn on_rolled_back(&self, inner: &mut NodeInner, seqno: Seqno) {
-        // Rolled-back proposals never commit here; their traces close on
-        // whichever primary re-proposes them (or never).
-        inner.inflight_traces.split_off(&(seqno + 1));
-        inner.trace_by_seqno.split_off(&(seqno + 1));
         let state = inner
             .recent_states
             .get(&seqno)
@@ -1197,7 +1141,7 @@ impl CcfNode {
             },
         );
         let ws = tx.into_write_set();
-        self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE)
+        self.propose_write_set(&mut inner, ws, None, None)
             .map_err(|e| format!("join propose: {e}"))?;
         // 5. Share the service secrets with the verified enclave.
         drop(inner);
@@ -1248,11 +1192,19 @@ impl CcfNode {
     /// return a 307 with the primary hint in the body (the harness and the
     /// rt cluster implement the forwarding of §4.3 on top).
     pub fn handle_request(&self, req: &Request) -> Response {
-        let platform = self.opts.platform;
-        platform.run(|| self.handle_request_inner(req))
+        self.handle_traced_request(req).0
     }
 
-    fn handle_request_inner(&self, req: &Request) -> Response {
+    /// [`CcfNode::handle_request`], plus the trace id minted for the write
+    /// it proposed ([`ccf_obs::TraceId::NONE`] for reads, errors and
+    /// redirects).
+    fn handle_traced_request(&self, req: &Request) -> (Response, ccf_obs::TraceId) {
+        let mut minted = ccf_obs::TraceId::NONE;
+        let resp = self.opts.platform.run(|| self.handle_request_inner(req, &mut minted));
+        (resp, minted)
+    }
+
+    fn handle_request_inner(&self, req: &Request, minted: &mut ccf_obs::TraceId) -> Response {
         // Captured up front so the eventual root "request" span covers
         // routing, auth, and endpoint execution (DESIGN.md §12).
         let entered_at = self.metrics.reg.now();
@@ -1359,10 +1311,11 @@ impl CcfNode {
                         self.metrics.node,
                         entered_at,
                     );
-                    match self.propose_write_set(&mut inner, ws, claims, trace) {
+                    let request = Some((trace, entered_at));
+                    match self.propose_write_set(&mut inner, ws, claims, request) {
                         Ok(txid) => {
                             self.metrics.reg.trace_exit(tok);
-                            inner.inflight_traces.insert(txid.seqno, (trace, entered_at));
+                            *minted = trace;
                             return Response { status: 200, body, txid: Some(txid) };
                         }
                         Err(ProposeError::NotPrimary(hint)) => {
@@ -1501,7 +1454,7 @@ impl CcfNode {
                     return Response::error(409, "governance transaction conflict");
                 }
                 let ws = tx.into_write_set();
-                match self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE) {
+                match self.propose_write_set(&mut inner, ws, None, None) {
                     Ok(txid) => Response { status: 200, body: body.into_bytes(), txid: Some(txid) },
                     Err(e) => Response::error(503, &format!("propose failed: {e}")),
                 }
@@ -1521,7 +1474,8 @@ impl CcfNode {
         if inner.replica.tx_status(txid) != TxStatus::Committed {
             return None;
         }
-        let entry = &inner.replica.entry_at(txid.seqno)?.entry;
+        // Committed, so the entry at txid's seqno is txid.
+        let ReplicatedEntry { entry, trace, .. } = inner.replica.entry_at(txid.seqno)?;
         // Find the first signature transaction after txid (its root covers
         // entries [1, sig.seqno - 1] ⊇ txid).
         let mut sig: Option<(TxId, SignaturePayload)> = None;
@@ -1545,15 +1499,9 @@ impl CcfNode {
         let proof = inner.replica.merkle_proof_at(txid.seqno, sig_txid.seqno - 1)?;
         let endorsement =
             inner.service_key.as_mut()?.endorse(&payload.node_id, &payload.node_public);
-        // Receipt issuance is the last stage of a traced request's life.
-        if let Some(trace) = inner.trace_by_seqno.get(&txid.seqno).copied() {
-            self.metrics.reg.trace_mark(
-                trace,
-                ccf_obs::SpanId::NONE,
-                "receipt",
-                self.metrics.node,
-            );
-        }
+        // Receipt issuance is the last stage of a traced request's life,
+        // recorded on whichever node issues it.
+        self.metrics.reg.trace_mark(*trace, ccf_obs::SpanId::NONE, "receipt", self.metrics.node);
         Some(Receipt {
             txid,
             kind: entry.kind,
@@ -1641,17 +1589,15 @@ impl CcfNode {
         &self.metrics.reg
     }
 
-    /// The causal-trace id minted for `txid` on this node, if this node
-    /// proposed it recently ([`ccf_obs::TraceId::NONE`] otherwise).
+    /// The causal-trace id `txid`'s entry carries in this node's log
+    /// ([`ccf_obs::TraceId::NONE`] if untraced or not held here).
     /// Forwarding layers use this to attach their own stages (e.g. the
     /// service harness's "forward" marker) to the request's trace.
     pub fn trace_of(&self, txid: TxId) -> ccf_obs::TraceId {
-        self.inner
-            .lock()
-            .trace_by_seqno
-            .get(&txid.seqno)
-            .copied()
-            .unwrap_or(ccf_obs::TraceId::NONE)
+        match self.inner.lock().replica.entry_at(txid.seqno) {
+            Some(e) if e.entry.txid == txid => e.trace,
+            _ => ccf_obs::TraceId::NONE,
+        }
     }
 
     /// Handles a batch of *signed* user requests in one call (§6.4:
@@ -1668,6 +1614,16 @@ impl CcfNode {
     /// individually so only the offending requests get a 401 and the rest
     /// proceed normally.
     pub fn handle_signed_user_requests(&self, envelopes: &[SignedRequest]) -> Vec<Response> {
+        self.handle_signed_batch(envelopes).into_iter().map(|(resp, _)| resp).collect()
+    }
+
+    /// [`CcfNode::handle_signed_user_requests`], pairing each response
+    /// with the trace id its write was proposed under (as
+    /// [`CcfNode::handle_traced_request`]).
+    fn handle_signed_batch(
+        &self,
+        envelopes: &[SignedRequest],
+    ) -> Vec<(Response, ccf_obs::TraceId)> {
         let messages: Vec<Vec<u8>> = envelopes.iter().map(|e| e.signed_bytes()).collect();
         let triples: Vec<(&[u8], &ccf_crypto::Signature, &VerifyingKey)> = envelopes
             .iter()
@@ -1687,7 +1643,7 @@ impl CcfNode {
                 if valid {
                     self.dispatch_signed_user_request(envelope)
                 } else {
-                    Response::error(401, "invalid request signature")
+                    (Response::error(401, "invalid request signature"), ccf_obs::TraceId::NONE)
                 }
             })
             .collect()
@@ -1702,8 +1658,7 @@ impl CcfNode {
         let mut inner = self.inner.lock();
         let ticket = inner.next_signed_ticket;
         inner.next_signed_ticket += 1;
-        inner.signed_request_queue.push((ticket, envelope));
-        inner.signed_enqueue_times.insert(ticket, self.metrics.reg.now());
+        inner.signed_request_queue.push((ticket, envelope, self.metrics.reg.now()));
         ticket
     }
 
@@ -1725,42 +1680,41 @@ impl CcfNode {
             }
             std::mem::take(&mut inner.signed_request_queue)
         };
-        let (tickets, envelopes): (Vec<u64>, Vec<SignedRequest>) = batch.into_iter().unzip();
+        let (queued, envelopes): (Vec<(u64, u64)>, Vec<SignedRequest>) =
+            batch.into_iter().map(|(ticket, envelope, at)| ((ticket, at), envelope)).unzip();
         self.metrics.signed_batches.inc();
         self.metrics.batch_verify_size.observe(envelopes.len() as u64);
-        let responses = self.handle_signed_user_requests(&envelopes);
+        let responses = self.handle_signed_batch(&envelopes);
         let mut inner = self.inner.lock();
         let now = self.metrics.reg.now();
-        for (ticket, resp) in tickets.into_iter().zip(responses) {
+        for ((ticket, at), (resp, trace)) in queued.into_iter().zip(responses) {
             // Queue-stage accounting: enqueue → this drain, attributed to
-            // the request's trace (backdated span; DESIGN.md §12).
-            if let Some(at) = inner.signed_enqueue_times.remove(&ticket) {
-                self.metrics.queue_latency.observe(now.saturating_sub(at));
-                let trace = resp
-                    .txid
-                    .and_then(|txid| inner.trace_by_seqno.get(&txid.seqno).copied())
-                    .unwrap_or(ccf_obs::TraceId::NONE);
-                let tok = self.metrics.reg.trace_enter_at(
-                    trace,
-                    ccf_obs::SpanId::NONE,
-                    "queue",
-                    self.metrics.node,
-                    at,
-                );
-                self.metrics.reg.trace_exit(tok);
-            }
+            // the trace of the write it proposed (backdated span; DESIGN.md
+            // §12). Reads and errors carry none, so they record no span.
+            self.metrics.queue_latency.observe(now.saturating_sub(at));
+            let tok = self.metrics.reg.trace_enter_at(
+                trace,
+                ccf_obs::SpanId::NONE,
+                "queue",
+                self.metrics.node,
+                at,
+            );
+            self.metrics.reg.trace_exit(tok);
             inner.signed_request_responses.insert(ticket, resp);
         }
     }
 
     /// Post-verification half of signed user request handling: resolve the
     /// purpose and signer, then execute as an authenticated user.
-    fn dispatch_signed_user_request(&self, envelope: &SignedRequest) -> Response {
-        let Some(rest) = envelope.purpose.strip_prefix("user/") else {
-            return Response::error(400, "purpose must be user/<METHOD> <path>");
-        };
-        let Some((method, path)) = rest.split_once(' ') else {
-            return Response::error(400, "purpose must be user/<METHOD> <path>");
+    fn dispatch_signed_user_request(
+        &self,
+        envelope: &SignedRequest,
+    ) -> (Response, ccf_obs::TraceId) {
+        let untraced = |resp| (resp, ccf_obs::TraceId::NONE);
+        let Some((method, path)) =
+            envelope.purpose.strip_prefix("user/").and_then(|rest| rest.split_once(' '))
+        else {
+            return untraced(Response::error(400, "purpose must be user/<METHOD> <path>"));
         };
         // Resolve the signer to a registered user id by cert match.
         let signer_hex = ccf_crypto::hex::to_hex(&envelope.signer.0);
@@ -1774,9 +1728,9 @@ impl CcfNode {
             });
         }
         let Some(user_id) = user_id else {
-            return Response::error(403, "signer is not a registered user");
+            return untraced(Response::error(403, "signer is not a registered user"));
         };
-        self.handle_request(&Request::new(
+        self.handle_traced_request(&Request::new(
             method,
             path,
             Caller::User(user_id),

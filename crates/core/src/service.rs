@@ -399,17 +399,18 @@ impl ServiceCluster {
     // Users
     // ------------------------------------------------------------------
 
-    /// Opens a user session against node index `node_idx` (connect to any
-    /// node, §4.3). Crashed nodes are skipped — a real client's TCP
+    /// The node a client connecting to node index `node_idx` reaches
+    /// (any node, §4.3). Crashed nodes are skipped — a real client's TCP
     /// connect would fail and it would retry the next node (§6.3).
+    fn connect(&self, node_idx: usize) -> NodeId {
+        let live: Vec<&NodeId> = self.nodes.keys().filter(|id| !self.net.is_crashed(id)).collect();
+        live[node_idx % live.len()].clone()
+    }
+
+    /// Opens a user session against node index `node_idx` (connect to any
+    /// node, §4.3), skipping crashed nodes.
     pub fn open_session(&mut self, node_idx: usize) -> u64 {
-        let live: Vec<NodeId> = self
-            .nodes
-            .keys()
-            .filter(|id| !self.net.is_crashed(id))
-            .cloned()
-            .collect();
-        let node = live[node_idx % live.len()].clone();
+        let node = self.connect(node_idx);
         let id = self.next_session;
         self.next_session += 1;
         self.sessions.insert(id, Session { node, forwarded_to: None });
@@ -449,35 +450,47 @@ impl ServiceCluster {
         };
         let req = Request::new(method, path, Caller::User("user0".to_string()), body);
         let resp = self.nodes[&target].handle_request(&req);
-        if resp.status == 307 {
-            // Forward to the primary hint and pin the session (§4.3).
-            let mut hint = String::from_utf8_lossy(&resp.body).to_string();
-            if hint.is_empty() || self.net.is_crashed(&hint) || !self.nodes.contains_key(&hint) {
-                // Stale hint (e.g. the old primary just crashed): fall
-                // back to the cluster's current primary, as a retrying
-                // client scanning nodes would find it.
-                match self.primary() {
-                    Some(p) => hint = p,
-                    None => return Response::error(503, "no reachable primary"),
-                }
-            }
-            let epoch = self.nodes[&hint].view_epoch();
-            self.sessions.get_mut(&session_id).unwrap().forwarded_to = Some((hint.clone(), epoch));
-            let forwarded = self.nodes[&hint].handle_request(&req);
-            // The forwarding hop is a zero-duration stage on the request's
-            // trace, attributed to the backup that issued the 307.
-            if let Some(txid) = forwarded.txid {
-                let trace = self.nodes[&hint].trace_of(txid);
-                self.obs.trace_mark(
-                    trace,
-                    ccf_obs::SpanId::NONE,
-                    "forward",
-                    self.obs.node_ref(&target),
-                );
-            }
-            return forwarded;
+        if resp.status != 307 {
+            return resp;
         }
-        resp
+        // Forward to the primary and pin the session (§4.3).
+        let forwarded = self.forward(&target, &resp, |this, primary| {
+            let epoch = this.nodes[primary].view_epoch();
+            let session = this.sessions.get_mut(&session_id).unwrap();
+            session.forwarded_to = Some((primary.clone(), epoch));
+            vec![this.nodes[primary].handle_request(&req)]
+        });
+        match forwarded {
+            Some(mut responses) => responses.remove(0),
+            None => Response::error(503, "no reachable primary"),
+        }
+    }
+
+    /// Follows the 307 that node `from` answered (§4.3): `send` re-issues
+    /// the redirected requests at the primary and returns their responses.
+    /// A stale hint (empty, unknown or crashed, e.g. the old primary just
+    /// crashed) falls back to the cluster's current primary, as a retrying
+    /// client scanning nodes would find it; with no primary at all,
+    /// returns `None`. The hop is a zero-duration `forward` stage on the
+    /// trace of each write the primary accepted, attributed to `from`.
+    fn forward(
+        &mut self,
+        from: &NodeId,
+        redirect: &Response,
+        send: impl FnOnce(&mut Self, &NodeId) -> Vec<Response>,
+    ) -> Option<Vec<Response>> {
+        let hint = String::from_utf8_lossy(&redirect.body).to_string();
+        let primary = if self.nodes.contains_key(&hint) && !self.net.is_crashed(&hint) {
+            hint
+        } else {
+            self.primary()?
+        };
+        let responses = send(self, &primary);
+        for txid in responses.iter().filter_map(|r| r.txid) {
+            let trace = self.nodes[&primary].trace_of(txid);
+            self.obs.trace_mark(trace, ccf_obs::SpanId::NONE, "forward", self.obs.node_ref(from));
+        }
+        Some(responses)
     }
 
     /// One-shot user request against node index `node_idx`, following
@@ -532,54 +545,36 @@ impl ServiceCluster {
         node_idx: usize,
         envelopes: Vec<ccf_governance::SignedRequest>,
     ) -> Vec<Response> {
-        let live: Vec<NodeId> = self
-            .nodes
-            .keys()
-            .filter(|id| !self.net.is_crashed(id))
-            .cloned()
-            .collect();
-        let node_id = live[node_idx % live.len()].clone();
-        let mut responses = self.drive_signed_batch(&node_id, envelopes);
+        let node_id = self.connect(node_idx);
+        let mut responses = self.drive_signed_batch(&node_id, &envelopes);
         // Follow forwarding: a backup answers 307 with a leader hint.
-        let hint = responses
-            .iter()
-            .find(|(_, r, _)| r.status == 307)
-            .map(|(_, r, _)| String::from_utf8_lossy(&r.body).to_string());
-        if let Some(mut hint) = hint {
-            if hint.is_empty() || self.net.is_crashed(&hint) || !self.nodes.contains_key(&hint) {
-                hint = match self.primary() {
-                    Some(p) => p,
-                    None => {
-                        return responses.into_iter().map(|(_, r, _)| r).collect();
-                    }
-                };
-            }
-            let redo: Vec<ccf_governance::SignedRequest> = responses
-                .iter()
-                .filter(|(_, r, _)| r.status == 307)
-                .map(|(_, _, e)| e.clone())
-                .collect();
-            let redone = self.drive_signed_batch(&hint, redo);
-            let mut redone_iter = redone.into_iter();
-            for slot in responses.iter_mut() {
-                if slot.1.status == 307 {
-                    let (_, r, e) = redone_iter.next().expect("redone response");
-                    slot.1 = r;
-                    slot.2 = e;
-                }
+        let Some(redirect) = responses.iter().find(|r| r.status == 307).cloned() else {
+            return responses;
+        };
+        let redo: Vec<ccf_governance::SignedRequest> = envelopes
+            .into_iter()
+            .zip(&responses)
+            .filter(|(_, r)| r.status == 307)
+            .map(|(e, _)| e)
+            .collect();
+        if let Some(redone) = self.forward(&node_id, &redirect, |this, primary| {
+            this.drive_signed_batch(primary, &redo)
+        }) {
+            let slots = responses.iter_mut().filter(|r| r.status == 307);
+            for (slot, r) in slots.zip(redone) {
+                *slot = r;
             }
         }
-        responses.into_iter().map(|(_, r, _)| r).collect()
+        responses
     }
 
     /// Enqueues `envelopes` at `node_id` and steps virtual time until all
-    /// tickets have responses. Returns (index, response, envelope) so the
-    /// caller can retry forwarded entries.
+    /// tickets have responses, returned in envelope order.
     fn drive_signed_batch(
         &mut self,
         node_id: &NodeId,
-        envelopes: Vec<ccf_governance::SignedRequest>,
-    ) -> Vec<(usize, Response, ccf_governance::SignedRequest)> {
+        envelopes: &[ccf_governance::SignedRequest],
+    ) -> Vec<Response> {
         let node = self.nodes[node_id].clone();
         let tickets: Vec<u64> = envelopes
             .iter()
@@ -600,15 +595,11 @@ impl ServiceCluster {
             }
             self.step();
         }
-        envelopes
-            .into_iter()
-            .enumerate()
-            .zip(out)
-            .map(|((i, e), r)| (i, r.expect("queued signed request never answered"), e))
-            .collect()
+        out.into_iter().map(|r| r.expect("queued signed request never answered")).collect()
     }
 
-    /// A request as a specific user id.
+    /// A request as a specific user id against node index `node_idx`
+    /// (crashed nodes skipped), following forwarding.
     pub fn user_request_as(
         &mut self,
         user: &str,
@@ -617,31 +608,19 @@ impl ServiceCluster {
         path: &str,
         body: &[u8],
     ) -> Response {
-        let node = self
-            .nodes
-            .keys()
-            .nth(node_idx % self.nodes.len())
-            .cloned()
-            .expect("node exists");
+        let node = self.connect(node_idx);
         let req = Request::new(method, path, Caller::User(user.to_string()), body);
         let resp = self.nodes[&node].handle_request(&req);
-        if resp.status == 307 {
-            let hint = String::from_utf8_lossy(&resp.body).to_string();
-            if let Some(primary) = self.nodes.get(&hint) {
-                let forwarded = primary.handle_request(&req);
-                if let Some(txid) = forwarded.txid {
-                    let trace = primary.trace_of(txid);
-                    self.obs.trace_mark(
-                        trace,
-                        ccf_obs::SpanId::NONE,
-                        "forward",
-                        self.obs.node_ref(&node),
-                    );
-                }
-                return forwarded;
-            }
+        if resp.status != 307 {
+            return resp;
         }
-        resp
+        let forwarded = self.forward(&node, &resp, |this, primary| {
+            vec![this.nodes[primary].handle_request(&req)]
+        });
+        match forwarded {
+            Some(mut responses) => responses.remove(0),
+            None => resp,
+        }
     }
 
     // ------------------------------------------------------------------

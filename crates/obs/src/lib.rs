@@ -32,7 +32,7 @@
 //!   `queue`, `forward`, `request`, `append`, `sign`, `replicate`,
 //!   `commit`, `receipt`) into a bounded ring buffer (old spans are
 //!   overwritten, a total count is kept). The id — a plain `u64` —
-//!   piggybacks on consensus messages, so a trace spans nodes.
+//!   rides the replicated ledger entry, so a trace spans nodes.
 //!   [`trace::assemble`] rebuilds trace trees from a snapshot and
 //!   computes per-stage critical paths. Off-simulation — when nothing
 //!   calls [`Registry::set_now`] — the virtual clock stays at zero and
@@ -554,13 +554,6 @@ impl Registry {
         self.0.flight.lock().unwrap().push(rec);
     }
 
-    /// The retained flight-recorder events, causally ordered (oldest
-    /// retained first). This is the "last N events" a violation dumps.
-    pub fn flight_records(&self) -> Vec<FlightRecord> {
-        let recs = self.0.flight.lock().unwrap().ordered();
-        recs.into_iter().map(|r| self.resolve_flight(r)).collect()
-    }
-
     fn resolve_flight(&self, r: FlightRec) -> FlightRecord {
         FlightRecord {
             at: r.at,
@@ -668,7 +661,8 @@ pub struct Snapshot {
     pub trace_spans: Vec<TraceSpan>,
     /// Total flight-recorder events ever recorded.
     pub flight_total: u64,
-    /// Retained flight-recorder events, causally ordered.
+    /// Retained flight-recorder events, causally ordered (oldest first):
+    /// the "last N events" a violation dumps.
     pub flight: Vec<FlightRecord>,
 }
 
@@ -1051,13 +1045,12 @@ mod tests {
             reg.set_now(i);
             reg.flight(n0, "send", "append_entries", Some(n1), 1, i);
         }
-        let recs = reg.flight_records();
+        let snap = reg.snapshot();
+        let recs = &snap.flight;
         assert_eq!(recs.len(), 3);
         assert!(recs.windows(2).all(|w| w[0].seq < w[1].seq));
         assert_eq!(recs.last().unwrap().b, 4);
-        let snap = reg.snapshot();
         assert_eq!(snap.flight_total, 5);
-        assert_eq!(snap.flight, recs);
         let line = recs[0].render();
         assert!(line.contains("n0 -> n1 send append_entries"), "{line}");
     }

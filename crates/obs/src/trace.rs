@@ -2,9 +2,9 @@
 //!
 //! A trace is the life of one user write request: minted as a
 //! [`TraceId`] when the request enters the node, propagated through
-//! leader forwarding and consensus (the id piggybacks on
-//! `append_entries` payloads, acks, and signature transactions), and
-//! closed at global commit / receipt issuance. Every component along
+//! leader forwarding and consensus (the id is stored once, in the
+//! replicated entry it belongs to; a signature covers the entries
+//! before it), and closed at global commit / receipt issuance. Every component along
 //! the way records *stage spans* against the id — `queue`, `forward`,
 //! `request`, `append`, `sign`, `replicate`, `commit`, `receipt` —
 //! stamped in virtual time, so same-seed runs reconstruct byte-for-byte

@@ -5,6 +5,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Committed results (BENCH_*.json) are rewritten only by full bench runs;
+# nothing in this gate may touch them.
+bench_sums() { sha256sum BENCH_*.json; }
+bench_before=$(bench_sums)
+
 echo "== tier1: cargo build --release"
 cargo build --release
 
@@ -50,5 +55,12 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== tier1: rustdoc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
+echo "== tier1: committed BENCH_*.json untouched"
+if [ "$(bench_sums)" != "$bench_before" ]; then
+    echo "tier1: a BENCH_*.json changed during the run:"
+    diff <(echo "$bench_before") <(bench_sums) || true
+    exit 1
+fi
 
 echo "== tier1: OK"

@@ -79,6 +79,20 @@ fn unknown_users_rejected() {
     assert_eq!(resp.status, 200);
 }
 
+/// A crashed node serves nothing: `user_request_as` connects to the next
+/// live node, as sessions and signed requests do, and the write commits.
+#[test]
+fn user_request_as_skips_crashed_nodes() {
+    let mut service = start_open(14, 3);
+    let primary = service.primary().unwrap();
+    let idx = service.nodes.keys().position(|id| *id == primary).unwrap();
+    service.crash(&primary);
+    assert!(service.run_until(5_000, |c| c.primary().is_some()), "no new primary");
+    let resp = service.user_request_as("user1", idx, "POST", "/log", b"1=x");
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    service.run_until_committed(resp.txid.expect("write txid"));
+}
+
 #[test]
 fn writes_forward_to_primary_and_sessions_stick() {
     let mut service = start_open(13, 3);
