@@ -33,26 +33,40 @@ fn main() {
     // replication running.
     let node_counts = [1usize, 3, 5, 7];
     let mut writes = Vec::new();
+    let mut commit_lag = Vec::new();
     let mut reads = Vec::new();
+    let mut replicated_obs = None;
     for (i, &n) in node_counts.iter().enumerate() {
         let cluster = start_rt(bench_opts(n, 100 + i as u64), logging_app());
         prefill(&cluster, ccf_bench::KEY_SPACE);
         let w = measure(&cluster, clients, duration, 0.0, 1);
         writes.push(w.writes_per_sec);
+        // Entries the primary holds beyond its commit point as the
+        // write window closes.
+        let primary = cluster.primary().unwrap();
+        commit_lag.push(primary.last_applied().seqno.saturating_sub(primary.commit_seqno()));
         // Aggregate read capacity: measure one node (a backup when one
         // exists, with replication live) and scale by n — each node in
         // the paper sits on its own VM, and reads never cross nodes.
         let read_node = cluster.a_backup().unwrap_or_else(|| cluster.primary().unwrap());
-        let per_node = ccf_bench::measure_reads_on(&read_node, 2, duration, 2).reads_per_sec;
-        reads.push(per_node * n as f64);
+        let read = ccf_bench::measure_reads_on(&read_node, 2, duration, 2);
+        assert_eq!(read.errors, 0, "reads failed on the {n}-node cluster");
+        reads.push(read.reads_per_sec * n as f64);
+        // The snapshot of the largest cluster shows replication traffic.
+        replicated_obs = cluster.obs().map(|r| r.snapshot());
         cluster.stop();
     }
     let wmax = writes.iter().cloned().fold(0.0, f64::max);
     let rmax = reads.iter().cloned().fold(0.0, f64::max);
     println!("Figure 7 (left): WRITE throughput vs number of nodes");
-    println!("{:>6} | {:>10} |", "nodes", "writes/s");
+    println!("{:>6} | {:>10} | {:>10} |", "nodes", "writes/s", "commit lag");
     for (i, &n) in node_counts.iter().enumerate() {
-        println!("{n:>6} | {:>10} | {}", fmt_rate(writes[i]), bar(writes[i], wmax, 40));
+        println!(
+            "{n:>6} | {:>10} | {:>10} | {}",
+            fmt_rate(writes[i]),
+            commit_lag[i],
+            bar(writes[i], wmax, 40)
+        );
     }
     println!("\nFigure 7 (center): READ throughput vs number of nodes");
     println!("{:>6} | {:>10} |", "nodes", "reads/s");
@@ -80,10 +94,10 @@ fn main() {
             bar(totals[i], tmax, 40)
         );
     }
-    if let Some(obs) = cluster.obs() {
-        ccf_bench::write_obs("fig7", &obs.snapshot());
-    }
     cluster.stop();
+    if let Some(snapshot) = &replicated_obs {
+        ccf_bench::write_obs("fig7", snapshot);
+    }
 
     // ---- Shape checks (the paper's qualitative claims) ----
     println!("\nshape checks:");

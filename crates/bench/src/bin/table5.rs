@@ -42,7 +42,7 @@ fn start_with(
         ));
         assert_eq!(state, ProposalState::Accepted);
         service.open_service();
-        ccf_core::rt::RtCluster::from_service(service, Duration::from_millis(5))
+        ccf_core::rt::RtCluster::from_service(service)
     }
 }
 
@@ -66,6 +66,7 @@ fn main() {
             prefill(&cluster, ccf_bench::KEY_SPACE);
             let w = measure(&cluster, clients, duration, 0.0, 3);
             let r = measure(&cluster, clients, duration, 1.0, 4);
+            assert_eq!(r.errors, 0, "{label}/{plat_label} reads failed");
             cluster.stop();
             results.push((label, plat_label, w.writes_per_sec, r.reads_per_sec));
         }

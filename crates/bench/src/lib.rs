@@ -7,6 +7,7 @@
 
 #![forbid(unsafe_code)]
 
+use ccf_consensus::TxStatus;
 use ccf_core::app::{AppResult, Application, Caller, EndpointDef, Request};
 use ccf_core::rt::RtCluster;
 use ccf_core::service::{ServiceCluster, ServiceOpts};
@@ -45,12 +46,16 @@ pub const KEY_SPACE: u64 = 1_000;
 pub fn start_rt(opts: ServiceOpts, app: Application) -> RtCluster {
     let mut service = ServiceCluster::start(opts, Arc::new(app));
     service.open_service();
-    RtCluster::from_service(service, Duration::from_millis(5))
+    RtCluster::from_service(service)
 }
 
-/// Pre-fills the key space through the primary so that reads hit.
+/// Pre-fills the key space through the primary and waits until the last
+/// write is committed on every node, so that reads hit on backups too
+/// (a read of a key a backup has not applied yet is a 404, which the
+/// read counters leave out).
 pub fn prefill(cluster: &RtCluster, keys: u64) {
     let primary = cluster.primary().expect("primary");
+    let mut last = None;
     for k in 0..keys {
         let req = Request::new(
             "POST",
@@ -60,6 +65,13 @@ pub fn prefill(cluster: &RtCluster, keys: u64) {
         );
         let resp = primary.handle_request(&req);
         assert_eq!(resp.status, 200, "prefill failed: {}", resp.text());
+        last = resp.txid;
+    }
+    let txid = last.expect("prefill wrote no key");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while cluster.nodes.values().any(|n| n.tx_status(txid) != TxStatus::Committed) {
+        assert!(Instant::now() < deadline, "prefill {txid} did not commit on every node");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -169,10 +181,12 @@ pub fn measure_reads_on(
 ) -> Throughput {
     let stop = Arc::new(AtomicBool::new(false));
     let reads = Arc::new(AtomicU64::new(0));
+    let errors = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::new();
     for c in 0..clients {
         let stop = stop.clone();
         let reads = reads.clone();
+        let errors = errors.clone();
         let node = node.clone();
         handles.push(std::thread::spawn(move || {
             let mut rng = ChaChaRng::seed_from_u64(seed * 131 + c as u64);
@@ -186,6 +200,8 @@ pub fn measure_reads_on(
                 );
                 if node.handle_request(&req).status == 200 {
                     reads.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }));
@@ -198,7 +214,12 @@ pub fn measure_reads_on(
     }
     let secs = start.elapsed().as_secs_f64();
     let r = reads.load(Ordering::Relaxed) as f64 / secs;
-    Throughput { writes_per_sec: 0.0, reads_per_sec: r, total_per_sec: r, errors: 0 }
+    Throughput {
+        writes_per_sec: 0.0,
+        reads_per_sec: r,
+        total_per_sec: r,
+        errors: errors.load(Ordering::Relaxed),
+    }
 }
 
 /// Human formatting: 64.8 K style, as in the paper's Table 5.

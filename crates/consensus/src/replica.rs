@@ -497,15 +497,10 @@ impl<F: SignatureFactory> Replica<F> {
                     self.status_from_view_history(txid)
                 }
             }
-            None => {
-                if txid.seqno <= self.base_seqno {
-                    // Covered by a snapshot: committed prefix, but we can
-                    // no longer compare views precisely; use view history.
-                    self.status_from_view_history(txid)
-                } else {
-                    self.status_from_view_history(txid)
-                }
-            }
+            // Not in the log: either covered by a snapshot (a committed
+            // prefix whose views we can no longer compare) or not received
+            // yet; view history decides both.
+            None => self.status_from_view_history(txid),
         }
     }
 
@@ -922,6 +917,8 @@ impl<F: SignatureFactory> Replica<F> {
         }
     }
 
+    /// Moves the commit point to `seqno`: the primary after its quorum
+    /// search, a backup when it follows the primary's commit.
     fn advance_commit(&mut self, seqno: Seqno) {
         debug_assert!(seqno > self.commit_seqno);
         debug_assert!(seqno <= self.last_seqno());
@@ -1211,7 +1208,7 @@ impl<F: SignatureFactory> Replica<F> {
         // `min(last_seqno)` could land mid-unsigned-block.
         let new_commit = m.commit_seqno.min(self.last_sig.seqno.max(self.base_seqno));
         if new_commit > self.commit_seqno {
-            self.advance_commit_backup(new_commit);
+            self.advance_commit(new_commit);
         }
 
         self.ack(from, true, self.last_seqno());
@@ -1222,38 +1219,6 @@ impl<F: SignatureFactory> Replica<F> {
         let ack =
             AppendEntriesResponse { view: self.view, from: self.id.clone(), success, last_seqno };
         self.outbox.push((to.clone(), Message::AppendEntriesResponse(ack)));
-    }
-
-    /// Commit advancement on backups: same config pruning as the primary
-    /// path, without the quorum search.
-    fn advance_commit_backup(&mut self, seqno: Seqno) {
-        self.commit_seqno = seqno;
-        self.note_commit(seqno);
-        self.close_committed_traces(seqno);
-        self.events.push(Event::Committed { seqno });
-        let was_in_current = self
-            .active_configs
-            .first()
-            .is_some_and(|c| c.nodes.contains(&self.id));
-        let newest_committed = self
-            .active_configs
-            .iter()
-            .rev()
-            .find(|c| c.seqno <= seqno)
-            .map(|c| c.seqno);
-        if let Some(newest) = newest_committed {
-            self.active_configs.retain(|c| c.seqno >= newest);
-        }
-        let in_current = self
-            .active_configs
-            .first()
-            .is_some_and(|c| c.nodes.contains(&self.id));
-        if was_in_current
-            && !in_current
-            && self.active_configs.first().is_some_and(|c| c.seqno <= seqno)
-        {
-            self.events.push(Event::RetirementCommitted);
-        }
     }
 
     fn on_append_entries_response(&mut self, m: AppendEntriesResponse) {

@@ -280,7 +280,7 @@ mod tests {
             std::sync::Arc::new(app()),
         );
         service.open_service();
-        let rt = crate::rt::RtCluster::from_service(service, std::time::Duration::from_millis(5));
+        let rt = crate::rt::RtCluster::from_service(service);
         let node = rt.primary().unwrap();
         let gw = HttpGateway::serve(node, 0).unwrap();
         (gw, rt)

@@ -59,10 +59,10 @@ pub struct NodeOpts {
     pub platform: TeePlatform,
     /// Seed for all node-local randomness.
     pub seed: u64,
-    /// Produce a snapshot every this many committed entries (0 = never).
+    /// Produce a snapshot every this many commit advances (0 = never).
+    /// An advance moves the commit point to a newer signature, however
+    /// many entries that covers, so this does not count entries.
     pub snapshot_interval: u64,
-    /// Max OCC retries before giving up on a conflicted request.
-    pub max_occ_retries: u32,
     /// Observability registry the node reports into. Nodes of one
     /// service share a registry (cluster-wide counters); the default is
     /// a fresh private one.
@@ -77,11 +77,14 @@ impl Default for NodeOpts {
             platform: TeePlatform::Virtual,
             seed: 0,
             snapshot_interval: 0,
-            max_occ_retries: 8,
             obs: ccf_obs::Registry::new(),
         }
     }
 }
+
+/// OCC re-executions of a conflicted request before it fails with 409
+/// (§6.4).
+const MAX_OCC_RETRIES: u32 = 8;
 
 /// Histogram buckets for signed-request batch sizes (powers of two up to
 /// the service-level burst sizes the harnesses generate).
@@ -218,9 +221,6 @@ struct NodeInner {
     indexer: Indexer,
     gov: GovernanceEngine,
     rng: ChaChaRng,
-    script_app: Option<Arc<ScriptApp>>,
-    script_app_version: u64,
-    last_applied: TxId,
     commits_since_snapshot: u64,
     retired: bool,
     handled_rekey: Option<Vec<u8>>,
@@ -261,9 +261,6 @@ impl NodeInner {
             indexer: Indexer::new(),
             gov: GovernanceEngine::new(Box::new(DefaultConstitution)),
             rng,
-            script_app: None,
-            script_app_version: 0,
-            last_applied: TxId::ZERO,
             commits_since_snapshot: 0,
             retired: false,
             handled_rekey: None,
@@ -313,18 +310,48 @@ pub struct CcfNode {
 impl CcfNode {
     /// Creates a node that is the first node of a brand-new service.
     pub fn new_start_node(opts: NodeOpts, app: Arc<Application>) -> Arc<CcfNode> {
+        Self::build(opts, app, |opts, factory| {
+            Replica::new(
+                opts.id.clone(),
+                [opts.id.clone()].into_iter().collect(),
+                opts.consensus.clone(),
+                opts.seed,
+                factory,
+            )
+        })
+    }
+
+    /// Creates a joining node (PENDING), optionally from a snapshot copied
+    /// over by the operator (§4.4, Figure 9's step B).
+    pub fn new_joining_node(
+        opts: NodeOpts,
+        app: Arc<Application>,
+        snapshot: Option<Snapshot>,
+    ) -> Arc<CcfNode> {
+        let node = Self::build(opts, app, |opts, factory| {
+            Replica::join(opts.id.clone(), opts.consensus.clone(), opts.seed, factory, snapshot)
+        });
+        // Process the boot snapshot events (install kv state).
+        {
+            let mut inner = node.inner.lock();
+            node.handle_events(&mut inner);
+        }
+        node
+    }
+
+    /// Derives the node's keys from its seed and builds the node around
+    /// the replica `replica` makes with them.
+    fn build(
+        opts: NodeOpts,
+        app: Arc<Application>,
+        replica: impl FnOnce(&NodeOpts, KeyedSignatureFactory) -> Replica<KeyedSignatureFactory>,
+    ) -> Arc<CcfNode> {
         let mut rng = ChaChaRng::seed_from_u64(opts.seed ^ 0xCCF);
         let node_key = SigningKey::generate(&mut rng);
         let dh_key = DhKeyPair::generate(&mut rng);
         let code_id = CodeId::measure(app.code_version.as_bytes());
         let factory = KeyedSignatureFactory::new(opts.id.clone(), node_key.clone());
-        let mut replica = Replica::new(
-            opts.id.clone(),
-            [opts.id.clone()].into_iter().collect(),
-            opts.consensus.clone(),
-            opts.seed,
-            factory,
-        );
+        let mut replica = replica(&opts, factory);
         replica.set_registry(&opts.obs);
         let metrics = NodeMetrics::new(&opts.obs, &opts.id);
         Arc::new(CcfNode {
@@ -341,49 +368,6 @@ impl CcfNode {
             metrics,
             opts,
         })
-    }
-
-    /// Creates a joining node (PENDING), optionally from a snapshot copied
-    /// over by the operator (§4.4, Figure 9's step B).
-    pub fn new_joining_node(
-        opts: NodeOpts,
-        app: Arc<Application>,
-        snapshot: Option<Snapshot>,
-    ) -> Arc<CcfNode> {
-        let mut rng = ChaChaRng::seed_from_u64(opts.seed ^ 0xCCF);
-        let node_key = SigningKey::generate(&mut rng);
-        let dh_key = DhKeyPair::generate(&mut rng);
-        let code_id = CodeId::measure(app.code_version.as_bytes());
-        let factory = KeyedSignatureFactory::new(opts.id.clone(), node_key.clone());
-        let mut replica = Replica::join(
-            opts.id.clone(),
-            opts.consensus.clone(),
-            opts.seed,
-            factory,
-            snapshot,
-        );
-        replica.set_registry(&opts.obs);
-        let metrics = NodeMetrics::new(&opts.obs, &opts.id);
-        let node = Arc::new(CcfNode {
-            id: opts.id.clone(),
-            app,
-            store: Store::new(),
-            inner: Mutex::new(NodeInner::new(replica, rng)),
-            last_applied_view: std::sync::atomic::AtomicU64::new(0),
-            last_applied_seqno: std::sync::atomic::AtomicU64::new(0),
-            script_app_cache: parking_lot::RwLock::new(None),
-            node_key,
-            dh_key,
-            code_id,
-            metrics,
-            opts,
-        });
-        // Process the boot snapshot events (install kv state).
-        {
-            let mut inner = node.inner.lock();
-            node.handle_events(&mut inner);
-        }
-        node
     }
 
     // ------------------------------------------------------------------
@@ -672,7 +656,6 @@ impl CcfNode {
                     self.metrics.snapshot_installs.inc();
                     let state = StoreState::deserialize(&snapshot.kv_state)
                         .expect("snapshot kv state must deserialize");
-                    inner.last_applied = snapshot.last_txid;
                     self.publish_last_applied(snapshot.last_txid);
                     self.store.install(state);
                     inner.recent_states.clear();
@@ -716,7 +699,6 @@ impl CcfNode {
             _ => (self.decode_entry_writes(inner, entry), None),
         };
         self.store.apply_at(&ws, seqno);
-        inner.last_applied = txid;
         self.publish_last_applied(txid);
         // React to writes addressed to this node (ledger rekey dist).
         self.check_rekey_distribution(inner, &ws, txid);
@@ -936,8 +918,7 @@ impl CcfNode {
             });
         self.store.install((*state).clone());
         inner.recent_states.retain(|s, _| *s <= seqno);
-        inner.last_applied = inner.replica.last_txid();
-        self.publish_last_applied(inner.last_applied);
+        self.publish_last_applied(inner.replica.last_txid());
         self.reload_dynamic_state(inner);
     }
 
@@ -947,13 +928,9 @@ impl CcfNode {
         let mut tx = self.store.begin();
         if let Some(src) = tx.get(&map(builtin::MODULES), b"app") {
             if let Ok(app) = ScriptApp::compile(&String::from_utf8_lossy(&src)) {
-                let app = Arc::new(app);
-                inner.script_app = Some(app.clone());
-                inner.script_app_version += 1;
-                *self.script_app_cache.write() = Some(app);
+                *self.script_app_cache.write() = Some(Arc::new(app));
             }
         } else {
-            inner.script_app = None;
             *self.script_app_cache.write() = None;
         }
         if let Some(src) = tx.get(&map(builtin::CONSTITUTION), b"constitution") {
@@ -1290,7 +1267,7 @@ impl CcfNode {
                     if let Err(e) = self.store.validate(&tx) {
                         drop(inner);
                         let _ = e;
-                        if attempts <= self.opts.max_occ_retries {
+                        if attempts <= MAX_OCC_RETRIES {
                             continue; // §6.4: re-executed, applied once
                         }
                         return Response::error(409, "transaction conflict");

@@ -1,20 +1,22 @@
 //! Real-time (threaded) cluster for throughput experiments.
 //!
-//! The virtual-time [`crate::service::ServiceCluster`] gives deterministic
-//! fault schedules; throughput numbers (Figure 7, Figure 8, Table 5) need
-//! real work on real threads instead. `RtCluster` takes an already
-//! bootstrapped service and moves it onto OS threads: one replication
-//! thread per node exchanging consensus messages over channels, plus a
-//! periodic signature timer on the primary; client threads (the paper's
-//! closed-loop users) call [`CcfNode::handle_request`] directly,
+//! The virtual-time [`ServiceCluster`] gives deterministic fault
+//! schedules; throughput numbers (Figure 7, Figure 8, Table 5) need real
+//! work on real threads instead. `RtCluster` takes an already
+//! bootstrapped service and runs it against the wall clock: one driver
+//! thread owns the service and calls [`ServiceCluster::step`] until the
+//! service's clock has caught up with the elapsed wall time, then sleeps
+//! 1 ms. The network has zero latency, so a message sent in one step is
+//! delivered in the next. Messages, ticks, `net.*` counters and flight
+//! records go through the simulator's step loop, and the primary signs
+//! only as its replica's count and time policy says. Client threads (the
+//! paper's closed-loop users) call [`CcfNode::handle_request`] directly,
 //! exercising the node's real execution path — snapshot reads, OCC
 //! commits, ledger encryption, Merkle appends.
 
 use crate::node::CcfNode;
 use crate::service::ServiceCluster;
-use ccf_consensus::message::Message;
 use ccf_consensus::NodeId;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -26,67 +28,33 @@ pub struct RtCluster {
     /// The nodes, by id.
     pub nodes: BTreeMap<NodeId, Arc<CcfNode>>,
     stop: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
+    driver: JoinHandle<()>,
 }
 
 impl RtCluster {
-    /// Converts a bootstrapped virtual-time service into a threaded one.
-    /// `sig_interval` is the wall-clock signature period for the primary
-    /// (the paper signs on both count and time triggers).
-    pub fn from_service(service: ServiceCluster, sig_interval: Duration) -> RtCluster {
+    /// Moves a bootstrapped virtual-time service onto a driver thread
+    /// that steps it in wall-clock time, continuing from its current
+    /// virtual time.
+    pub fn from_service(mut service: ServiceCluster) -> RtCluster {
         let nodes = service.nodes.clone();
-        let base_ms = service.now(); // continue monotonic time
         let stop = Arc::new(AtomicBool::new(false));
-        let mut senders: BTreeMap<NodeId, Sender<(NodeId, Message)>> = BTreeMap::new();
-        let mut receivers: BTreeMap<NodeId, Receiver<(NodeId, Message)>> = BTreeMap::new();
-        for id in nodes.keys() {
-            let (tx, rx) = unbounded();
-            senders.insert(id.clone(), tx);
-            receivers.insert(id.clone(), rx);
-        }
-        let mut handles = Vec::new();
-        let start = Instant::now();
-        for (id, node) in &nodes {
-            let node = node.clone();
-            let rx = receivers.remove(id).unwrap();
-            let senders = senders.clone();
-            let stop = stop.clone();
-            let id = id.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut last_sig = Instant::now();
-                let send_all = |from: &NodeId, out: Vec<(NodeId, Message)>| {
-                    for (to, msg) in out {
-                        if let Some(s) = senders.get(&to) {
-                            let _ = s.send((from.clone(), msg));
-                        }
-                    }
-                };
-                while !stop.load(Ordering::Relaxed) {
-                    // Drain inbound messages (with a short park when idle).
-                    let mut any = false;
-                    while let Ok((from, msg)) = rx.try_recv() {
-                        any = true;
-                        let out = node.receive(&from, msg);
-                        send_all(&id, out);
-                    }
-                    let now_ms = base_ms + start.elapsed().as_millis() as u64;
-                    let out = node.tick(now_ms);
-                    send_all(&id, out);
-                    if node.is_primary() && last_sig.elapsed() >= sig_interval {
-                        last_sig = Instant::now();
-                        let out = node.emit_signature();
-                        send_all(&id, out);
-                    }
-                    if !any {
-                        // 1ms idle cadence: consensus timing (20ms
-                        // heartbeats) tolerates it, and finer sleeps
-                        // starve co-located client threads on small hosts.
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
+        let driver_stop = stop.clone();
+        let driver = std::thread::spawn(move || {
+            service.net.set_latency(0, 0);
+            let base_ms = service.now();
+            let start = Instant::now();
+            while !driver_stop.load(Ordering::Relaxed) {
+                if service.now() < base_ms + start.elapsed().as_millis() as u64 {
+                    service.step();
+                } else {
+                    // Caught up: the service's clock moves in whole
+                    // milliseconds, and spinning would starve co-located
+                    // client threads on small hosts.
+                    std::thread::sleep(Duration::from_millis(1));
                 }
-            }));
-        }
-        RtCluster { nodes, stop, handles }
+            }
+        });
+        RtCluster { nodes, stop, driver }
     }
 
     /// The current primary node handle.
@@ -105,11 +73,70 @@ impl RtCluster {
         self.nodes.values().next().map(|n| n.obs().clone())
     }
 
-    /// Stops the replication threads.
-    pub fn stop(mut self) {
+    /// Stops the driver thread.
+    pub fn stop(self) {
         self.stop.store(true, Ordering::Relaxed);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        let _ = self.driver.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::app::{AppResult, Application, Caller, EndpointDef, Request};
+    use crate::service::ServiceOpts;
+    use ccf_consensus::TxStatus;
+
+    fn start(nodes: usize) -> RtCluster {
+        let app = Application::new("rt test v1").endpoint(EndpointDef::write("POST", "/log", |ctx| {
+            let (id, msg) = ctx.body_kv()?;
+            ctx.put_private("msgs", id.as_bytes(), msg.as_bytes());
+            AppResult::ok(Vec::new())
+        }));
+        let mut service = ServiceCluster::start(
+            ServiceOpts { nodes, members: 1, users: 1, seed: 77, ..ServiceOpts::default() },
+            Arc::new(app),
+        );
+        service.open_service();
+        RtCluster::from_service(service)
+    }
+
+    fn write(node: &CcfNode, i: u64) -> crate::app::Response {
+        let req = Request::new("POST", "/log", Caller::User("user0".into()), format!("{i}=x").as_bytes());
+        let resp = node.handle_request(&req);
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        resp
+    }
+
+    #[test]
+    fn count_only_policy_adds_no_timer_signatures() {
+        let rt = start(1);
+        let primary = rt.primary().unwrap();
+        primary.set_signature_policy(100, 0);
+        let signatures = rt.obs().unwrap().counter("consensus.signature_txs");
+        let before = signatures.get();
+        for i in 0..50 {
+            write(&primary, i);
         }
+        std::thread::sleep(Duration::from_millis(50));
+        let emitted = signatures.get() - before;
+        rt.stop();
+        assert_eq!(emitted, 0, "50 writes under a count-only interval of 100 were signed");
+    }
+
+    #[test]
+    fn writes_replicate_through_the_step_loop() {
+        let rt = start(3);
+        let sent = rt.obs().unwrap().counter("net.messages_sent");
+        let before = sent.get();
+        let txid = write(&rt.primary().unwrap(), 1).txid.expect("txid");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while rt.nodes.values().any(|n| n.tx_status(txid) != TxStatus::Committed) {
+            assert!(Instant::now() < deadline, "write {txid:?} did not commit on every node");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let after = sent.get();
+        rt.stop();
+        assert!(after > before, "net.messages_sent stayed at {before}");
     }
 }

@@ -54,7 +54,8 @@ pub struct ServiceOpts {
     pub constitution: Option<String>,
     /// Recovery threshold k (clamped to member count).
     pub recovery_threshold: usize,
-    /// Snapshot production interval in commits (0 = on demand only).
+    /// Snapshot production interval in commit advances (0 = on demand
+    /// only); see [`NodeOpts::snapshot_interval`].
     pub snapshot_interval: u64,
 }
 
@@ -141,7 +142,6 @@ impl ServiceCluster {
                 platform: opts.platform,
                 seed: opts.seed * 100,
                 snapshot_interval: opts.snapshot_interval,
-                max_occ_retries: 8,
                 obs: obs.clone(),
             },
             app.clone(),
@@ -263,7 +263,6 @@ impl ServiceCluster {
                 platform: self.platform,
                 seed: self.next_seed * 7919,
                 snapshot_interval: self.snapshot_interval,
-                max_occ_retries: 8,
                 obs: self.obs.clone(),
             },
             self.app.clone(),

@@ -254,25 +254,24 @@ impl<M: Eq + Clone> SimNet<M> {
         // possibly out of order with its neighbours.
         let duplicate = self.duplicate_probability > 0.0
             && self.rng.gen_bool(self.duplicate_probability);
+        // Only a duplicate needs a second copy of the message.
+        let copy = duplicate.then(|| msg.clone());
+        self.schedule(delay, from, to, msg);
+        if let Some(copy) = copy {
+            let delay2 = self.rng.gen_range_in(lo, hi.max(lo + 1) * 2);
+            self.schedule(delay2, from, to, copy);
+        }
+    }
+
+    fn schedule(&mut self, delay: Time, from: &NodeId, to: &NodeId, msg: M) {
         self.seq += 1;
         self.queue.push(Reverse(Scheduled {
             deliver_at: self.now + delay,
             seq: self.seq,
             from: from.clone(),
             to: to.clone(),
-            msg: msg.clone(),
+            msg,
         }));
-        if duplicate {
-            let delay2 = self.rng.gen_range_in(lo, hi.max(lo + 1) * 2);
-            self.seq += 1;
-            self.queue.push(Reverse(Scheduled {
-                deliver_at: self.now + delay2,
-                seq: self.seq,
-                from: from.clone(),
-                to: to.clone(),
-                msg,
-            }));
-        }
     }
 
     /// Pops every message due at or before `t`, advancing time to `t`.

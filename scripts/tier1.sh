@@ -46,6 +46,10 @@ cargo run -q --release -p ccf-bench --bin bench_latency -- --smoke > /dev/null
 cmp OBS_latency.json OBS_latency.first.json
 rm -f OBS_latency.first.json
 
+echo "== tier1: threaded-runtime figures (fig7, fig8 with 200 ms windows; fig8 fails if signing ignores its count-only policy)"
+CCF_BENCH_MS=200 timeout 600 cargo run -q --release -p ccf-bench --bin fig7
+CCF_BENCH_MS=200 timeout 600 cargo run -q --release -p ccf-bench --bin fig8
+
 echo "== tier1: perfbench build + tests (release; catches API changes the benchmark uses)"
 cargo build -q --release --manifest-path perfbench/Cargo.toml
 cargo test -q --release --manifest-path perfbench/Cargo.toml
