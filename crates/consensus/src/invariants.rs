@@ -24,7 +24,7 @@
 //! service layer (`ccf-core`), where the identity exists.
 
 use crate::harness::Cluster;
-use crate::replica::{Event, Replica, SignatureFactory};
+use crate::replica::{Event, Replica};
 use crate::{NodeId, Seqno, View};
 use ccf_crypto::Digest32;
 use ccf_ledger::entry::EntryKind;
@@ -41,7 +41,7 @@ pub trait StateView {
     fn entry_info(&self, seqno: Seqno) -> Option<(TxId, Digest32, EntryKind)>;
 }
 
-impl<F: SignatureFactory> StateView for Replica<F> {
+impl StateView for Replica {
     fn commit_seqno(&self) -> Seqno {
         Replica::commit_seqno(self)
     }

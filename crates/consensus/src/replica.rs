@@ -13,9 +13,9 @@ use crate::message::{
 };
 use crate::{quorum, ActiveConfig, Config, NodeId, Seqno, Snapshot, TxStatus, View};
 use ccf_crypto::chacha::ChaChaRng;
-use ccf_crypto::Digest32;
+use ccf_crypto::{Digest32, SigningKey};
 use ccf_ledger::entry::EntryKind;
-use ccf_ledger::{LedgerEntry, MerkleTree, TxId};
+use ccf_ledger::{signature_entry, MerkleTree, TxId};
 use ccf_obs::TraceId;
 use std::collections::{BTreeSet, HashMap};
 
@@ -75,14 +75,6 @@ pub enum Role {
     Retiring,
     /// Shut down; ignores everything.
     Retired,
-}
-
-/// Builds signature transactions on demand: the node layer owns the node's
-/// signing key and the kv write to `ccf.internal.signatures`, so consensus
-/// delegates entry construction.
-pub trait SignatureFactory {
-    /// Builds the signature entry for `txid` over Merkle root `root`.
-    fn make_signature(&mut self, txid: TxId, root: Digest32) -> LedgerEntry;
 }
 
 /// Commands for the node layer, emitted in order.
@@ -233,10 +225,12 @@ struct InflightTrace {
 }
 
 /// The consensus replica.
-pub struct Replica<F: SignatureFactory> {
+pub struct Replica {
     id: NodeId,
     cfg: ReplicaConfig,
-    sig_factory: F,
+    /// The node's identity key: signs the Merkle root in signature
+    /// transactions.
+    key: SigningKey,
     rng: ChaChaRng,
 
     role: Role,
@@ -281,7 +275,7 @@ pub struct Replica<F: SignatureFactory> {
     inflight_traces: std::collections::BTreeMap<Seqno, InflightTrace>,
 }
 
-impl<F: SignatureFactory> Replica<F> {
+impl Replica {
     /// Creates a replica that is part of the service's initial
     /// configuration (service start, §2).
     pub fn new(
@@ -289,14 +283,14 @@ impl<F: SignatureFactory> Replica<F> {
         initial_config: Config,
         cfg: ReplicaConfig,
         seed: u64,
-        sig_factory: F,
+        key: SigningKey,
     ) -> Self {
         let id = id.into();
         let participating = initial_config.contains(&id);
         let mut r = Replica {
             id,
             cfg,
-            sig_factory,
+            key,
             rng: ChaChaRng::seed_from_u64(seed),
             role: if participating { Role::Backup } else { Role::Pending },
             view: 0,
@@ -321,7 +315,7 @@ impl<F: SignatureFactory> Replica<F> {
             election_deadline: 0,
             next_heartbeat: 0,
             last_sig_emit: 0,
-        outbox: Vec::new(),
+            outbox: Vec::new(),
             events: Vec::new(),
             metrics: None,
             inflight_traces: std::collections::BTreeMap::new(),
@@ -344,10 +338,10 @@ impl<F: SignatureFactory> Replica<F> {
         id: impl Into<NodeId>,
         cfg: ReplicaConfig,
         seed: u64,
-        sig_factory: F,
+        key: SigningKey,
         snapshot: Option<Snapshot>,
     ) -> Self {
-        let mut r = Self::new(id, Config::new(), cfg, seed, sig_factory);
+        let mut r = Self::new(id, Config::new(), cfg, seed, key);
         r.role = Role::Pending;
         r.participating = false;
         r.active_configs.clear();
@@ -651,9 +645,7 @@ impl<F: SignatureFactory> Replica<F> {
         self.last_sig_emit = self.now;
         let txid = TxId::new(self.view, self.last_seqno() + 1);
         let root = self.merkle.root();
-        let entry = self.sig_factory.make_signature(txid, root);
-        assert_eq!(entry.kind, EntryKind::Signature, "factory must build a signature entry");
-        assert_eq!(entry.txid, txid);
+        let entry = signature_entry(&self.id, &self.key, txid, root);
         self.append_local(ReplicatedEntry { entry, config: None, trace: TraceId::NONE });
         // Replicate eagerly: commit latency is dominated by signature
         // round-trips (Figure 8).

@@ -5,29 +5,29 @@
 //! (two of the original bugs were `debug_assert!`s that vanished under
 //! `--release` and silently corrupted state).
 
-use ccf_consensus::harness::{user_entry, KeyedSignatureFactory};
+use ccf_consensus::harness::user_entry;
 use ccf_consensus::message::ReplicatedEntry;
-use ccf_consensus::replica::{Replica, ReplicaConfig, Role, SignatureFactory};
+use ccf_consensus::replica::{Replica, ReplicaConfig, Role};
 use ccf_consensus::{
     AppendEntries, AppendEntriesResponse, Config, Event, Message, RequestVoteResponse,
 };
 use ccf_crypto::SigningKey;
-use ccf_ledger::TxId;
+use ccf_ledger::{signature_entry, verify_signature, SignaturePayload, TxId};
 
-fn factory(id: &str) -> KeyedSignatureFactory {
+fn key(id: &str) -> SigningKey {
     let mut seed = [7u8; 32];
     seed[..id.len().min(32)].copy_from_slice(&id.as_bytes()[..id.len().min(32)]);
-    KeyedSignatureFactory::new(id, SigningKey::from_seed(seed))
+    SigningKey::from_seed(seed)
 }
 
-fn replica(id: &str, config: &[&str]) -> Replica<KeyedSignatureFactory> {
+fn replica(id: &str, config: &[&str]) -> Replica {
     let config: Config = config.iter().map(|s| s.to_string()).collect();
-    Replica::new(id, config, ReplicaConfig::default(), 1, factory(id))
+    Replica::new(id, config, ReplicaConfig::default(), 1, key(id))
 }
 
 fn sig_entry(author: &str, txid: TxId) -> ReplicatedEntry {
     ReplicatedEntry {
-        entry: factory(author).make_signature(txid, [0u8; 32]),
+        entry: signature_entry(author, &key(author), txid, [0u8; 32]),
         config: None,
         trace: ccf_obs::TraceId::NONE,
     }
@@ -36,7 +36,7 @@ fn sig_entry(author: &str, txid: TxId) -> ReplicatedEntry {
 /// Sends `m` as an AppendEntries from `from` and returns the responses
 /// produced (ignoring any other outbound traffic).
 fn deliver(
-    r: &mut Replica<KeyedSignatureFactory>,
+    r: &mut Replica,
     from: &str,
     m: AppendEntries,
 ) -> Vec<AppendEntriesResponse> {
@@ -52,7 +52,7 @@ fn deliver(
 
 /// Replicates a two-entry prefix (user tx then signature) from primary
 /// `p` and commits it, returning the backup.
-fn backup_with_committed_prefix() -> Replica<KeyedSignatureFactory> {
+fn backup_with_committed_prefix() -> Replica {
     let mut b = replica("b", &["p", "b", "c"]);
     let resps = deliver(
         &mut b,
@@ -190,7 +190,7 @@ fn gapped_batch_is_rejected_with_retransmission_hint() {
 /// Drives `p` to primary of a {p, b} configuration by feeding it the
 /// peer's vote, then builds a log of `n` user entries plus a closing
 /// signature. Returns the replica with its outbox drained.
-fn primary_with_log(n: u64) -> Replica<KeyedSignatureFactory> {
+fn primary_with_log(n: u64) -> Replica {
     let mut p = replica("p", &["p", "b"]);
     p.tick(10_000); // well past any election timeout draw
     assert_eq!(p.role(), Role::Candidate);
@@ -209,11 +209,32 @@ fn primary_with_log(n: u64) -> Replica<KeyedSignatureFactory> {
     p
 }
 
+#[test]
+fn primary_signs_with_its_node_key() {
+    let p = primary_with_log(5);
+    let mut signed = 0;
+    for seqno in 1..=p.last_seqno() {
+        let entry = &p.entry_at(seqno).unwrap().entry;
+        if !entry.is_signature() {
+            continue;
+        }
+        let payload = SignaturePayload::from_entry(entry).expect("signature entry parses");
+        assert_eq!(payload.node_id, "p");
+        assert_eq!(payload.node_public, key("p").verifying_key());
+        assert_eq!(Some(payload.root), p.merkle_root_at(seqno - 1), "signs the prefix before it");
+        verify_signature(&key("p").verifying_key(), &payload.root, entry.txid, &payload.signature)
+            .expect("verifies under the node key");
+        signed += 1;
+    }
+    assert!(signed >= 1);
+    assert!(p.entry_at(p.last_seqno()).unwrap().entry.is_signature());
+}
+
 /// Feeds `p` a negative ack from "b" hinting `hint`, and returns the
 /// `prev.seqno` values of the AppendEntries it sends back — one element
 /// per round trip simulated, stopping when the probe reaches `hint` or
 /// after `cap` trips.
-fn probe_seqnos(p: &mut Replica<KeyedSignatureFactory>, hint: u64, cap: usize) -> Vec<u64> {
+fn probe_seqnos(p: &mut Replica, hint: u64, cap: usize) -> Vec<u64> {
     let mut probes = Vec::new();
     for _ in 0..cap {
         let view = p.view();

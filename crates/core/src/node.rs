@@ -16,7 +16,6 @@ use crate::app::{
     ScriptApp,
 };
 use crate::indexer::{Indexer, KeyToTxIds};
-use ccf_consensus::harness::KeyedSignatureFactory;
 use ccf_consensus::message::{Message, ReplicatedEntry};
 use ccf_consensus::replica::{Event, ProposeError, Replica, ReplicaConfig, Role};
 use ccf_consensus::{NodeId, Seqno, Snapshot, TxStatus};
@@ -207,7 +206,7 @@ impl ServiceKey {
 }
 
 struct NodeInner {
-    replica: Replica<KeyedSignatureFactory>,
+    replica: Replica,
     secrets: Option<LedgerSecrets>,
     service_key: Option<ServiceKey>,
     /// Every appended entry not yet below the commit point, by seqno:
@@ -251,7 +250,7 @@ struct NodeInner {
 }
 
 impl NodeInner {
-    fn new(replica: Replica<KeyedSignatureFactory>, rng: ChaChaRng) -> NodeInner {
+    fn new(replica: Replica, rng: ChaChaRng) -> NodeInner {
         NodeInner {
             replica,
             secrets: None,
@@ -310,13 +309,13 @@ pub struct CcfNode {
 impl CcfNode {
     /// Creates a node that is the first node of a brand-new service.
     pub fn new_start_node(opts: NodeOpts, app: Arc<Application>) -> Arc<CcfNode> {
-        Self::build(opts, app, |opts, factory| {
+        Self::build(opts, app, |opts, key| {
             Replica::new(
                 opts.id.clone(),
                 [opts.id.clone()].into_iter().collect(),
                 opts.consensus.clone(),
                 opts.seed,
-                factory,
+                key,
             )
         })
     }
@@ -328,8 +327,8 @@ impl CcfNode {
         app: Arc<Application>,
         snapshot: Option<Snapshot>,
     ) -> Arc<CcfNode> {
-        let node = Self::build(opts, app, |opts, factory| {
-            Replica::join(opts.id.clone(), opts.consensus.clone(), opts.seed, factory, snapshot)
+        let node = Self::build(opts, app, |opts, key| {
+            Replica::join(opts.id.clone(), opts.consensus.clone(), opts.seed, key, snapshot)
         });
         // Process the boot snapshot events (install kv state).
         {
@@ -340,18 +339,17 @@ impl CcfNode {
     }
 
     /// Derives the node's keys from its seed and builds the node around
-    /// the replica `replica` makes with them.
+    /// the replica `replica` makes with its identity key.
     fn build(
         opts: NodeOpts,
         app: Arc<Application>,
-        replica: impl FnOnce(&NodeOpts, KeyedSignatureFactory) -> Replica<KeyedSignatureFactory>,
+        replica: impl FnOnce(&NodeOpts, SigningKey) -> Replica,
     ) -> Arc<CcfNode> {
         let mut rng = ChaChaRng::seed_from_u64(opts.seed ^ 0xCCF);
         let node_key = SigningKey::generate(&mut rng);
         let dh_key = DhKeyPair::generate(&mut rng);
         let code_id = CodeId::measure(app.code_version.as_bytes());
-        let factory = KeyedSignatureFactory::new(opts.id.clone(), node_key.clone());
-        let mut replica = replica(&opts, factory);
+        let mut replica = replica(&opts, node_key.clone());
         replica.set_registry(&opts.obs);
         let metrics = NodeMetrics::new(&opts.obs, &opts.id);
         Arc::new(CcfNode {
@@ -1459,14 +1457,8 @@ impl CcfNode {
         let mut s = txid.seqno + 1;
         while s <= inner.replica.commit_seqno() {
             if let Some(e) = inner.replica.entry_at(s) {
-                if e.entry.kind == EntryKind::Signature {
-                    let ws = WriteSet::decode(&e.entry.public_ws).ok()?;
-                    let payload = ws
-                        .maps
-                        .get(&map(builtin::SIGNATURES))?
-                        .get(&b"latest".to_vec())?
-                        .as_ref()?;
-                    sig = Some((e.entry.txid, SignaturePayload::decode(payload).ok()?));
+                if e.entry.is_signature() {
+                    sig = Some((e.entry.txid, SignaturePayload::from_entry(&e.entry).ok()?));
                     break;
                 }
             }
@@ -1577,25 +1569,20 @@ impl CcfNode {
         }
     }
 
-    /// Handles a batch of *signed* user requests in one call (§6.4:
-    /// "optional support for user request signing, via the same mechanism
-    /// that consortium members sign governance operations"). Each
-    /// envelope's purpose must be `user/<METHOD> <path>`, and its signer's
-    /// key must match a registered user cert (stored as the hex public
-    /// key). Authentication is cryptographic — no transport identity
-    /// needed — and each envelope is replay-bound to the method+path.
+    /// Handles a batch of *signed* user requests (§6.4: "optional support
+    /// for user request signing, via the same mechanism that consortium
+    /// members sign governance operations"). Each envelope's purpose must
+    /// be `user/<METHOD> <path>`, and its signer's key must match a
+    /// registered user cert (stored as the hex public key). Authentication
+    /// is cryptographic — no transport identity needed — and each envelope
+    /// is replay-bound to the method+path.
     ///
-    /// All envelope signatures are checked with a single batched verification
-    /// ([`ccf_crypto::verify_batch`] — one shared doubling chain for the
-    /// whole round); if the batch rejects, each envelope is re-verified
-    /// individually so only the offending requests get a 401 and the rest
-    /// proceed normally.
-    pub fn handle_signed_user_requests(&self, envelopes: &[SignedRequest]) -> Vec<Response> {
-        self.handle_signed_batch(envelopes).into_iter().map(|(resp, _)| resp).collect()
-    }
-
-    /// [`CcfNode::handle_signed_user_requests`], pairing each response
-    /// with the trace id its write was proposed under (as
+    /// All envelope signatures are checked with a single batched
+    /// verification ([`ccf_crypto::verify_batch`] — one shared doubling
+    /// chain for the whole round); if the batch rejects, each envelope is
+    /// re-verified individually so only the offending requests get a 401
+    /// and the rest proceed normally. Each response is paired with the
+    /// trace id its write was proposed under (as
     /// [`CcfNode::handle_traced_request`]).
     fn handle_signed_batch(
         &self,
@@ -1627,10 +1614,9 @@ impl CcfNode {
     }
 
     /// Queues a signed user request for the next consensus tick. All
-    /// requests queued within one round are signature-checked together
-    /// through [`CcfNode::handle_signed_user_requests`]. Returns a ticket
-    /// to redeem with [`CcfNode::take_signed_response`] once a tick has
-    /// drained the queue.
+    /// requests queued within one round are signature-checked together.
+    /// Returns a ticket to redeem with [`CcfNode::take_signed_response`]
+    /// once a tick has drained the queue.
     pub fn enqueue_signed_user_request(&self, envelope: SignedRequest) -> u64 {
         let mut inner = self.inner.lock();
         let ticket = inner.next_signed_ticket;

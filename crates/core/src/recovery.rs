@@ -30,10 +30,11 @@ use ccf_governance::actions::NodeInfo;
 use ccf_governance::recovery::ShareCollector;
 use ccf_governance::{MemberId, NodeStatus};
 use ccf_kv::{builtin, MapName, Store, WriteSet};
-use ccf_ledger::entry::EntryKind;
 use ccf_ledger::files::read_chunks;
 use ccf_ledger::secrets::LedgerSecrets;
-use ccf_ledger::{LedgerEntry, MerkleTree, SignaturePayload, TxId};
+use ccf_kv::store::StoreState;
+use ccf_ledger::{verify_signature, LedgerEntry, MerkleTree, SignaturePayload, TxId};
+use std::sync::Arc;
 
 fn map(name: &str) -> MapName {
     MapName::new(name)
@@ -82,14 +83,18 @@ pub struct RecoveryCoordinator {
 }
 
 impl RecoveryCoordinator {
-    /// Replays and verifies ledger chunk blobs (§5.2 step 1).
+    /// Replays and verifies ledger chunk blobs (§5.2 step 1), in one pass:
+    /// the state right after each verified signature transaction is kept,
+    /// and the coordinator starts from the last one.
     pub fn from_ledger(blobs: &[Vec<u8>]) -> Result<RecoveryCoordinator, RecoveryFailure> {
-        let entries =
+        let mut entries =
             read_chunks(blobs).map_err(|e| RecoveryFailure::BadLedger(e.to_string()))?;
         let store = Store::new();
         let mut merkle = MerkleTree::new();
         let mut view_history: Vec<(u64, u64)> = Vec::new();
-        let mut last_verified: usize = 0; // number of entries proven good
+        // After the last verified signature: (entries, which is also the
+        // Merkle size, store state, view-history length).
+        let mut verified: Option<(usize, Arc<StoreState>, usize)> = None;
 
         for (i, entry) in entries.iter().enumerate() {
             if entry.txid.seqno != i as u64 + 1 {
@@ -102,28 +107,13 @@ impl RecoveryCoordinator {
             // equal the recomputed root over the preceding prefix, and the
             // signature must verify under the embedded node key, which in
             // turn must match a trusted node in the replayed `nodes.info`.
-            if entry.kind == EntryKind::Signature {
-                let Ok(ws) = WriteSet::decode(&entry.public_ws) else { break };
-                let Some(Some(payload_bytes)) = ws
-                    .maps
-                    .get(&map(builtin::SIGNATURES))
-                    .and_then(|m| m.get(&b"latest".to_vec()))
-                else {
-                    break;
-                };
-                let Ok(payload) = SignaturePayload::decode(payload_bytes) else { break };
-                if payload.root != merkle.root() {
-                    break; // host tampered with the prefix
-                }
-                if payload
-                    .node_public
-                    .verify(
-                        &SignaturePayload::signing_bytes(&payload.root, entry.txid),
-                        &payload.signature,
-                    )
-                    .is_err()
+            if entry.is_signature() {
+                let Ok(payload) = SignaturePayload::from_entry(entry) else { break };
+                let (key, root) = (&payload.node_public, &payload.root);
+                if *root != merkle.root()
+                    || verify_signature(key, root, entry.txid, &payload.signature).is_err()
                 {
-                    break;
+                    break; // host tampered with the prefix or the signature
                 }
                 // The signer must be a registered node with this cert.
                 let mut tx = store.begin();
@@ -132,63 +122,44 @@ impl RecoveryCoordinator {
                         info.cert == ccf_crypto::hex::to_hex(&payload.node_public.0)
                             && info.status != NodeStatus::Retired
                     })
-                    // The genesis entry registers the first node within
-                    // this very transaction; allow the bootstrap case.
+                    // The first entry is the first primary's signature over
+                    // the empty ledger, made before the genesis transaction
+                    // registers the node; it covers nothing.
                     || i == 0;
                 if !registered {
                     break;
                 }
             }
             // Apply the public part (absent for private-only transactions).
-            let ws = if entry.public_ws.is_empty() {
-                WriteSet::new()
-            } else {
-                match WriteSet::decode(&entry.public_ws) {
-                    Ok(ws) => ws,
-                    Err(_) => break,
-                }
-            };
+            let Ok(ws) = entry.public_write_set() else { break };
             store.apply_at(&ws, entry.txid.seqno);
             merkle.append(&entry.leaf_bytes());
             if view_history.last().is_none_or(|&(v, _)| v < entry.txid.view) {
                 view_history.push((entry.txid.view, entry.txid.seqno));
             }
-            if entry.kind == EntryKind::Signature {
-                last_verified = i + 1;
+            if entry.is_signature() {
+                verified = Some((i + 1, store.snapshot(), view_history.len()));
             }
         }
-        if last_verified == 0 {
+        let Some((len, state, views)) = verified else {
             return Err(RecoveryFailure::NothingVerifiable);
-        }
+        };
         // Best-effort: discard the unverified suffix (§5.2 — committed
         // transactions beyond the last surviving signature are lost).
-        let entries: Vec<LedgerEntry> = entries.into_iter().take(last_verified).collect();
-        // Rebuild store/merkle truncated to the verified prefix.
-        let store2 = Store::new();
-        let mut merkle2 = MerkleTree::new();
-        let mut view_history2: Vec<(u64, u64)> = Vec::new();
-        for entry in &entries {
-            let ws = if entry.public_ws.is_empty() {
-                WriteSet::new()
-            } else {
-                WriteSet::decode(&entry.public_ws).expect("verified above")
-            };
-            store2.apply_at(&ws, entry.txid.seqno);
-            merkle2.append(&entry.leaf_bytes());
-            if view_history2.last().is_none_or(|&(v, _)| v < entry.txid.view) {
-                view_history2.push((entry.txid.view, entry.txid.seqno));
-            }
-        }
+        entries.truncate(len);
+        merkle.truncate(len as u64);
+        view_history.truncate(views);
+        let store = Store::from_state(StoreState::clone(&state));
         let previous_identity = {
-            let mut tx = store2.begin();
+            let mut tx = store.begin();
             tx.get(&map(builtin::SERVICE_INFO), b"cert")
                 .map(|v| String::from_utf8_lossy(&v).to_string())
         };
         Ok(RecoveryCoordinator {
             entries,
-            store: store2,
-            merkle: merkle2,
-            view_history: view_history2,
+            store,
+            merkle,
+            view_history,
             collector: ShareCollector::new(),
             previous_identity,
             secrets: None,
@@ -234,11 +205,7 @@ impl RecoveryCoordinator {
         // with both halves.
         let full = Store::new();
         for entry in &self.entries {
-            let mut ws = if entry.public_ws.is_empty() {
-                WriteSet::new()
-            } else {
-                WriteSet::decode(&entry.public_ws).expect("verified")
-            };
+            let mut ws = entry.public_write_set().expect("decoded during replay");
             if !entry.private_ws_enc.is_empty() {
                 let plain = secrets
                     .decrypt(entry.txid, &sha256(&entry.public_ws), &entry.private_ws_enc)
@@ -365,4 +332,89 @@ pub fn restart_service(
         .map_err(|e| RecoveryFailure::BadLedger(format!("recovery genesis: {e}")))?;
     cluster.run_for(500);
     Ok((cluster, coordinator.previous_identity.clone(), new_identity))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::app::{AppResult, EndpointDef};
+    use crate::service::ServiceOpts;
+    use ccf_ledger::files::{encode_chunk, LedgerChunk};
+
+    /// The persisted ledger of a one-node service after `writes` private
+    /// writes.
+    fn ledger(writes: usize) -> Vec<Vec<u8>> {
+        let app = Application::new("recovery unit v1").endpoint(EndpointDef::write(
+            "POST",
+            "/put",
+            |ctx| {
+                let (k, v) = ctx.body_kv()?;
+                ctx.put_private("data", k.as_bytes(), v.as_bytes());
+                AppResult::ok(vec![])
+            },
+        ));
+        let mut service = ServiceCluster::start(
+            ServiceOpts { nodes: 1, members: 1, seed: 84, ..ServiceOpts::default() },
+            std::sync::Arc::new(app),
+        );
+        service.open_service();
+        for i in 0..writes {
+            let r = service.user_request(0, "POST", "/put", format!("k{i}=v{i}").as_bytes());
+            assert_eq!(r.status, 200);
+        }
+        service.run_for(100);
+        service.nodes.values().next().unwrap().persisted_ledger()
+    }
+
+    /// What replaying `entries` from scratch yields: store, Merkle tree,
+    /// view history.
+    fn fresh_replay(entries: &[LedgerEntry]) -> (Store, MerkleTree, Vec<(u64, u64)>) {
+        let store = Store::new();
+        let mut merkle = MerkleTree::new();
+        let mut views: Vec<(u64, u64)> = Vec::new();
+        for e in entries {
+            store.apply_at(&e.public_write_set().unwrap(), e.txid.seqno);
+            merkle.append(&e.leaf_bytes());
+            if views.last().is_none_or(|&(v, _)| v < e.txid.view) {
+                views.push((e.txid.view, e.txid.seqno));
+            }
+        }
+        (store, merkle, views)
+    }
+
+    fn assert_recovered(c: &RecoveryCoordinator, prefix: &[LedgerEntry]) {
+        let (store, merkle, views) = fresh_replay(prefix);
+        assert_eq!(c.recovered_len(), prefix.len() as u64);
+        assert_eq!(c.entries, prefix);
+        assert!(
+            c.store.snapshot().serialize() == store.snapshot().serialize(),
+            "recovered store differs from a fresh replay of the verified prefix"
+        );
+        assert_eq!(c.merkle.len(), merkle.len());
+        assert_eq!(c.merkle.root(), merkle.root());
+        assert_eq!(c.view_history, views);
+    }
+
+    #[test]
+    fn recovery_cut_at_a_tampered_chunk_equals_a_fresh_replay_of_the_prefix() {
+        let mut blobs = ledger(25);
+        assert!(blobs.len() >= 3, "need a chunk on each side of the tampered one");
+        // Untampered, everything persisted is verified.
+        let all = read_chunks(&blobs).unwrap();
+        assert_recovered(&RecoveryCoordinator::from_ledger(&blobs).unwrap(), &all);
+
+        // The host changes a user entry of a middle chunk: the signature
+        // closing that chunk no longer matches the recomputed root, so
+        // recovery keeps exactly the chunks before it.
+        let cut = (1..blobs.len() - 1)
+            .rev()
+            .find(|&i| LedgerChunk::decode(&blobs[i]).unwrap().entries.len() > 1)
+            .expect("a middle chunk with a user entry");
+        let mut chunk = LedgerChunk::decode(&blobs[cut]).unwrap();
+        chunk.entries[0].claims_digest[0] ^= 1;
+        blobs[cut] = encode_chunk(&chunk.entries.iter().collect::<Vec<_>>());
+        let prefix = read_chunks(&blobs[..cut]).unwrap();
+        assert!(!prefix.is_empty() && prefix.len() < all.len());
+        assert_recovered(&RecoveryCoordinator::from_ledger(&blobs).unwrap(), &prefix);
+    }
 }

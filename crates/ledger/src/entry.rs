@@ -1,10 +1,18 @@
 //! Ledger entry encoding: transaction IDs, write sets split by visibility,
-//! signature payloads (paper §3.1–§3.3).
+//! signature transactions (paper §3.1–§3.3).
+//!
+//! This module is the one place that knows the signature transaction's
+//! format: [`signature_entry`] builds it, [`SignaturePayload::from_entry`]
+//! reads it back, and [`verify_signature`] checks the node signature it
+//! carries (consensus, receipts and recovery all go through these).
 
 use ccf_crypto::sha2::{sha256, Sha256};
-use ccf_crypto::{Digest32, Signature, VerifyingKey};
+use ccf_crypto::{Digest32, Signature, SigningKey, VerifyingKey};
 use ccf_kv::codec::{CodecError, Reader, Writer};
-use ccf_kv::WriteSet;
+use ccf_kv::{builtin, MapName, WriteSet};
+
+/// The key of the payload in the `public:ccf.internal.signatures` map.
+const SIGNATURE_KEY: &[u8] = b"latest";
 
 /// A transaction ID: the ordered pair (view, sequence number) — unique per
 /// transaction across the whole service lifetime (§3.1).
@@ -80,7 +88,7 @@ pub struct SignaturePayload {
 
 impl SignaturePayload {
     /// The exact bytes a node signs for a signature transaction at `txid`.
-    pub fn signing_bytes(root: &Digest32, txid: TxId) -> Vec<u8> {
+    fn signing_bytes(root: &Digest32, txid: TxId) -> Vec<u8> {
         let mut w = Writer::with_capacity(64);
         w.raw(b"ccf-signature-tx");
         w.u64(txid.view);
@@ -90,7 +98,7 @@ impl SignaturePayload {
     }
 
     /// Serializes the payload.
-    pub fn encode(&self) -> Vec<u8> {
+    fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.str(&self.node_id);
         w.raw(&self.root);
@@ -100,7 +108,7 @@ impl SignaturePayload {
     }
 
     /// Decodes [`SignaturePayload::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<SignaturePayload, CodecError> {
+    fn decode(bytes: &[u8]) -> Result<SignaturePayload, CodecError> {
         let mut r = Reader::new(bytes);
         let node_id = r.str("signature node id")?.to_string();
         let root = r.array::<32>("signature root")?;
@@ -113,6 +121,86 @@ impl SignaturePayload {
             node_public: VerifyingKey(node_public),
         })
     }
+
+    /// Reads the payload of signature transaction `entry`: the value at
+    /// `SIGNATURES["latest"]` of its public write set.
+    pub fn from_entry(entry: &LedgerEntry) -> Result<SignaturePayload, SignatureError> {
+        if entry.kind != EntryKind::Signature {
+            return Err(SignatureError::NotSignature);
+        }
+        let ws = WriteSet::decode(&entry.public_ws).map_err(SignatureError::BadWriteSet)?;
+        let bytes = ws
+            .maps
+            .get(&MapName::new(builtin::SIGNATURES))
+            .and_then(|m| m.get(SIGNATURE_KEY))
+            .and_then(Option::as_ref)
+            .ok_or(SignatureError::MissingPayload)?;
+        SignaturePayload::decode(bytes).map_err(SignatureError::BadPayload)
+    }
+}
+
+/// Why an entry is not a valid signature transaction.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SignatureError {
+    /// The entry is not of kind [`EntryKind::Signature`].
+    NotSignature,
+    /// The public write set does not decode.
+    BadWriteSet(CodecError),
+    /// The write set holds no `SIGNATURES["latest"]` value.
+    MissingPayload,
+    /// The payload does not decode.
+    BadPayload(CodecError),
+    /// The node signature over the root at the txid does not verify.
+    BadSignature,
+}
+
+impl std::fmt::Display for SignatureError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SignatureError::NotSignature => write!(f, "not a signature transaction"),
+            SignatureError::BadWriteSet(e) => write!(f, "signature write set: {e}"),
+            SignatureError::MissingPayload => write!(f, "no signature payload"),
+            SignatureError::BadPayload(e) => write!(f, "signature payload: {e}"),
+            SignatureError::BadSignature => write!(f, "invalid node signature over root"),
+        }
+    }
+}
+
+impl std::error::Error for SignatureError {}
+
+/// Builds the signature transaction at `txid` over Merkle root `root`,
+/// signed by node `node_id` with `key`: its payload is the one write,
+/// `SIGNATURES["latest"]`.
+pub fn signature_entry(node_id: &str, key: &SigningKey, txid: TxId, root: Digest32) -> LedgerEntry {
+    let payload = SignaturePayload {
+        node_id: node_id.to_string(),
+        root,
+        signature: key.sign(&SignaturePayload::signing_bytes(&root, txid)),
+        node_public: key.verifying_key(),
+    };
+    let mut ws = WriteSet::new();
+    ws.write(MapName::new(builtin::SIGNATURES), SIGNATURE_KEY.to_vec(), payload.encode());
+    LedgerEntry {
+        txid,
+        kind: EntryKind::Signature,
+        public_ws: ws.encode(),
+        private_ws_enc: Vec::new(),
+        claims_digest: [0u8; 32],
+    }
+}
+
+/// Checks that `signature` is `node_public`'s signature over `root` for
+/// the signature transaction at `txid`. Whether `root` is the right root
+/// and `node_public` a trusted key is the caller's to check.
+pub fn verify_signature(
+    node_public: &VerifyingKey,
+    root: &Digest32,
+    txid: TxId,
+    signature: &Signature,
+) -> Result<(), SignatureError> {
+    node_public
+        .verify(&SignaturePayload::signing_bytes(root, txid), signature)
+        .map_err(|_| SignatureError::BadSignature)
 }
 
 /// One entry of the ledger, as replicated between nodes and persisted by
@@ -223,7 +311,6 @@ impl LedgerEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccf_kv::MapName;
 
     fn sample_entry() -> LedgerEntry {
         let mut ws = WriteSet::new();
@@ -303,6 +390,61 @@ mod tests {
             .node_public
             .verify(&SignaturePayload::signing_bytes(&root, txid), &decoded.signature)
             .unwrap();
+    }
+
+    #[test]
+    fn built_signature_entry_parses_and_verifies() {
+        let key = ccf_crypto::SigningKey::from_seed([5u8; 32]);
+        let (txid, root) = (TxId::new(3, 41), [9u8; 32]);
+        let entry = signature_entry("n1", &key, txid, root);
+        assert!(entry.is_signature());
+        let payload = SignaturePayload::from_entry(&entry).unwrap();
+        assert_eq!(payload.node_id, "n1");
+        assert_eq!(payload.root, root);
+        assert_eq!(payload.node_public, key.verifying_key());
+        let signed_root = verify_signature(&payload.node_public, &root, txid, &payload.signature);
+        assert_eq!(signed_root, Ok(()));
+        // The entry survives the ledger encoding unchanged.
+        let decoded = LedgerEntry::decode(&entry.encode()).unwrap();
+        assert_eq!(SignaturePayload::from_entry(&decoded), Ok(payload));
+    }
+
+    #[test]
+    fn signature_check_rejects_wrong_key_txid_or_root() {
+        let key = ccf_crypto::SigningKey::from_seed([5u8; 32]);
+        let (txid, root) = (TxId::new(3, 41), [9u8; 32]);
+        let p = SignaturePayload::from_entry(&signature_entry("n1", &key, txid, root)).unwrap();
+        let other = ccf_crypto::SigningKey::from_seed([6u8; 32]).verifying_key();
+        let bad = Err(SignatureError::BadSignature);
+        assert_eq!(verify_signature(&other, &p.root, txid, &p.signature), bad);
+        assert_eq!(verify_signature(&p.node_public, &p.root, TxId::new(3, 42), &p.signature), bad);
+        assert_eq!(verify_signature(&p.node_public, &p.root, TxId::new(4, 41), &p.signature), bad);
+        let mut changed = root;
+        changed[31] ^= 1;
+        assert_eq!(verify_signature(&p.node_public, &changed, txid, &p.signature), bad);
+    }
+
+    #[test]
+    fn signature_parser_rejects_non_signature_entries() {
+        // A user entry passed as a signature.
+        let user = sample_entry();
+        assert_eq!(SignaturePayload::from_entry(&user), Err(SignatureError::NotSignature));
+        let key = ccf_crypto::SigningKey::from_seed([5u8; 32]);
+        let good = signature_entry("n1", &key, TxId::new(1, 2), [0u8; 32]);
+        // A signature entry whose write set does not decode.
+        let mut e = good.clone();
+        e.public_ws.truncate(e.public_ws.len() - 1);
+        assert!(matches!(SignaturePayload::from_entry(&e), Err(SignatureError::BadWriteSet(_))));
+        // A signature entry that writes something else.
+        let mut e = good.clone();
+        e.public_ws = sample_entry().public_ws;
+        assert_eq!(SignaturePayload::from_entry(&e), Err(SignatureError::MissingPayload));
+        // A signature entry whose payload does not decode.
+        let mut ws = WriteSet::new();
+        ws.write(MapName::new(builtin::SIGNATURES), SIGNATURE_KEY.to_vec(), vec![1, 2, 3]);
+        let mut e = good;
+        e.public_ws = ws.encode();
+        assert!(matches!(SignaturePayload::from_entry(&e), Err(SignatureError::BadPayload(_))));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`merkle`] — an incremental Merkle tree (RFC 6962 shape) with
 //!   inclusion proofs and rollback, mirroring the production `merklecpp`.
 //! * [`entry`] — ledger entry encoding: transaction IDs, write sets split
-//!   by visibility, signature and reconfiguration payloads.
+//!   by visibility, and the signature transaction (its one builder,
+//!   parser and signature check).
 //! * [`secrets`] — the ledger secret (Table 1), rekeying, and the
 //!   encryption of private write sets.
 //! * [`receipt`] — verifiable receipts: Merkle proof + signature + service
@@ -26,7 +27,9 @@ pub mod merkle;
 pub mod receipt;
 pub mod secrets;
 
-pub use entry::{LedgerEntry, SignaturePayload, TxId};
+pub use entry::{
+    signature_entry, verify_signature, LedgerEntry, SignatureError, SignaturePayload, TxId,
+};
 pub use merkle::{MerkleProof, MerkleTree};
 pub use receipt::Receipt;
 pub use secrets::LedgerSecrets;

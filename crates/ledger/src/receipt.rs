@@ -7,7 +7,7 @@
 //! endorsement* of the signing node's key (the certificate chain that roots
 //! trust in the service identity).
 
-use crate::entry::{EntryKind, LedgerEntry, SignaturePayload, TxId};
+use crate::entry::{verify_signature, EntryKind, LedgerEntry, TxId};
 use crate::merkle::MerkleProof;
 use ccf_crypto::{CryptoError, Digest32, Signature, VerifyingKey};
 use ccf_kv::codec::{CodecError, Reader, Writer};
@@ -99,11 +99,7 @@ impl Receipt {
                 &self.service_endorsement,
             )
             .map_err(|_: CryptoError| ReceiptError::BadEndorsement)?;
-        self.node_public
-            .verify(
-                &SignaturePayload::signing_bytes(&self.root, self.signature_txid),
-                &self.node_signature,
-            )
+        verify_signature(&self.node_public, &self.root, self.signature_txid, &self.node_signature)
             .map_err(|_| ReceiptError::BadNodeSignature)?;
         let leaf = LedgerEntry::leaf_bytes_from_digests(
             self.txid,
@@ -181,6 +177,7 @@ impl Receipt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::{signature_entry, SignaturePayload};
     use crate::merkle::MerkleTree;
     use ccf_crypto::chacha::ChaChaRng;
     use ccf_crypto::sha2::sha256;
@@ -209,7 +206,10 @@ mod tests {
         }
         let root = tree.root();
         let sig_txid = TxId::new(1, 11);
-        let node_signature = node.sign(&SignaturePayload::signing_bytes(&root, sig_txid));
+        let node_signature =
+            SignaturePayload::from_entry(&signature_entry("n0", &node, sig_txid, root))
+                .unwrap()
+                .signature;
         let endorsement =
             service.sign(&endorsement_bytes("n0", &node.verifying_key()));
 

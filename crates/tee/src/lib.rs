@@ -9,17 +9,18 @@
 //!   binding a measurement and report data under a simulated hardware
 //!   root of trust, and verification. This is what CCF's join protocol
 //!   checks against `nodes.code_ids` before sharing service secrets.
-//! * [`ringbuffer`] — the host↔enclave boundary: a pair of SPSC
-//!   ringbuffers carrying serialized messages, mirroring CCF's design of
-//!   minimizing expensive TEE transitions by batching through shared
-//!   memory rings.
 //! * [`platform`] — the platform cost model: `Virtual` (no overhead, the
-//!   paper's virtual mode) vs `SgxSim` (injected per-transition and
-//!   execution-proportional cost calibrated to the paper's observed SGX
-//!   slowdown), used by the Table 5 experiment.
+//!   paper's virtual mode) vs `SgxSim` (an injected execution-proportional
+//!   cost calibrated to the paper's observed SGX slowdown), used by the
+//!   Table 5 experiment.
 //! * [`channel`] — authenticated encrypted node-to-node channels
-//!   (X25519 + HKDF + AES-256-GCM), standing in for the paper's
-//!   Diffie-Hellman node-to-node encryption (§7).
+//!   (X25519 + HKDF + AES-256-GCM), the paper's Diffie-Hellman
+//!   node-to-node encryption (§7). No runtime path uses them yet:
+//!   consensus messages cross the simulated host in plaintext.
+//!
+//! The host↔enclave boundary itself (CCF's ringbuffers) is not modelled:
+//! each node's enclave and host halves run in one process and call each
+//! other directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,8 +28,6 @@
 pub mod attestation;
 pub mod channel;
 pub mod platform;
-pub mod ringbuffer;
 
 pub use attestation::{AttestationReport, CodeId, HardwareRoot};
 pub use platform::TeePlatform;
-pub use ringbuffer::{RingBuffer, RingPair};

@@ -50,6 +50,11 @@ echo "== tier1: threaded-runtime figures (fig7, fig8 with 200 ms windows; fig8 f
 CCF_BENCH_MS=200 timeout 600 cargo run -q --release -p ccf-bench --bin fig7
 CCF_BENCH_MS=200 timeout 600 cargo run -q --release -p ccf-bench --bin fig8
 
+echo "== tier1: examples (each runs once and asserts its own outcome: recovery, offline audit, receipts, governance)"
+for example in quickstart banking logging_audit governance_tour disaster_recovery; do
+    cargo run -q --release -p ccf-core --example "$example" > /dev/null
+done
+
 echo "== tier1: perfbench build + tests (release; catches API changes the benchmark uses)"
 cargo build -q --release --manifest-path perfbench/Cargo.toml
 cargo test -q --release --manifest-path perfbench/Cargo.toml

@@ -46,27 +46,28 @@ fn signed_user_requests_authenticate_cryptographically() {
     assert_eq!(state, ProposalState::Accepted);
     service.run_for(200);
 
-    let node = service.nodes.values().next().unwrap().clone();
+    // Every envelope goes through the node's queued path, which verifies
+    // the signatures of one tick's requests as a batch.
+    let mut submit = |env: SignedRequest| service.signed_user_requests(0, vec![env]).remove(0);
     // A correctly signed request executes as that user.
     let env = SignedRequest::sign(&user_key, "user/POST /put", b"k1=signed write", 1);
-    let resp = node.handle_signed_user_requests(std::slice::from_ref(&env)).remove(0);
+    let resp = submit(env.clone());
     assert_eq!(resp.status, 200, "{}", resp.text());
     // The purpose binds method+path: replaying the same envelope against
     // a different endpoint is impossible without re-signing.
     let mut retarget = env;
     retarget.purpose = "user/POST /other".to_string();
-    assert_eq!(node.handle_signed_user_requests(&[retarget]).remove(0).status, 401);
+    assert_eq!(submit(retarget).status, 401);
     // A signature from an unregistered key is rejected.
     let mallory = ccf_crypto::SigningKey::from_seed([0x22; 32]);
     let env = SignedRequest::sign(&mallory, "user/POST /put", b"k2=forged", 1);
-    assert_eq!(node.handle_signed_user_requests(&[env]).remove(0).status, 403);
+    assert_eq!(submit(env).status, 403);
     // Tampered payload is rejected.
     let mut env = SignedRequest::sign(&user_key, "user/POST /put", b"k3=x", 2);
     env.payload = b"k3=y".to_vec();
-    assert_eq!(node.handle_signed_user_requests(&[env]).remove(0).status, 401);
+    assert_eq!(submit(env).status, 401);
     // The signed write really landed.
-    let read = SignedRequest::sign(&user_key, "user/GET /get?k=k1", b"", 3);
-    let resp = node.handle_signed_user_requests(&[read]).remove(0);
+    let resp = service.signed_user_request(&user_key, 0, "GET", "/get?k=k1", b"", 3);
     assert_eq!(resp.status, 200);
     assert_eq!(resp.text(), "signed write");
 }
